@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import cox_predict_survival, fit_gee
 from .cox import censoring_weights, fit_cox
-from .data import Dataset, load_dataset, save_dataset, split_dataset
+from .data import Dataset, _parse_cell, load_dataset, save_dataset, split_dataset
 from .errors import DataError, NumericError
 from .estimators import censoring_kaplan_meier
 from .metrics import evaluate_predictions
@@ -235,14 +235,22 @@ def cmd_predict(resolved: dict) -> None:
 def _load_predictions(path, n_expected: int):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "id":
+        header = next(reader, None)
+        if not header or header[0] != "id":
             raise DataError("predictions header must start with 'id'")
         try:
             times = [float(name) for name in header[1:]]
         except ValueError:
             raise DataError("prediction columns after 'id' must be named by their times") from None
-        rows = [[float(c) for c in row[1:]] for row in reader if row]
+        rows = []
+        for lineno, raw in enumerate(reader, start=1):
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise DataError(
+                    f"predictions row {lineno} has {len(raw)} cells, expected {len(header)}"
+                )
+            rows.append([_parse_cell(c, lineno, name) for c, name in zip(raw[1:], header[1:])])
     if len(rows) != n_expected:
         raise DataError(f"predictions have {len(rows)} rows, data has {n_expected}")
     return np.asarray(rows, dtype=float), np.asarray(times, dtype=float)

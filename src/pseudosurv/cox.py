@@ -151,8 +151,11 @@ def censoring_weights(data: Dataset, model: CoxModel, cap: float = 20.0) -> Weig
     """Per-subject IPCW weight functions from the fitted censoring model.
 
     G(t | Z_i) = exp(-Lambda_0(t) * exp(beta . (Z_i - means))); the weight at
-    u is min(1 / G(u-), cap).  The same weight function is meant to be built
-    once on the training split and reused everywhere weights are needed.
+    u is min(1 / G(u-), cap).  The result keeps the Breslow baseline and the
+    n relative risks, O(n + K) memory for K censoring times; weights are
+    computed only at the times and for the subjects a caller asks for.  The
+    same weight function is meant to be built once on the training split and
+    reused everywhere weights are needed.
     """
     if cap <= 1.0:
         raise DataError("weight cap must exceed 1")
@@ -160,9 +163,7 @@ def censoring_weights(data: Dataset, model: CoxModel, cap: float = 20.0) -> Weig
         raise DataError("model must be fit with target='censoring'")
     Z, _ = _select_columns(data, model.covariate_names)
     risk = np.exp((Z - model.covariate_means) @ model.beta)
-    lam0 = model.baseline_cumhaz.values
-    surv = np.exp(-np.outer(risk, lam0)) if lam0.size else np.ones((len(data), 0))
-    # extreme risk scores underflow exp to 0; the cap makes the weight finite
-    # either way, so floor at the smallest positive float to keep G in (0, 1]
-    surv = np.maximum(surv, np.finfo(float).tiny)
-    return WeightFunction(model.baseline_cumhaz.times, surv, cap)
+    # an overflowed risk score stays finite; G then underflows to its floor as before
+    risk = np.minimum(risk, np.finfo(float).max)
+    base = model.baseline_cumhaz
+    return WeightFunction(base.times, base.values, risk, cap)

@@ -115,78 +115,144 @@ def censoring_kaplan_meier(data: Dataset) -> StepSurvivalCurve:
     return kaplan_meier(flipped)
 
 
+# subjects per block when IPCW sums are accumulated over a sample
+_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class WeightFunction:
-    """Per-subject inverse-probability-of-censoring weights.
+    """Per-subject inverse-probability-of-censoring weights from a Cox censoring model.
 
-    Stores one censoring survival curve G(t | Z_i) per subject on a shared
-    jump grid (``surv_values`` row i), all starting at 1 before the first
-    jump.  The weight of subject i at time u is min(1 / G(u- | Z_i), cap):
-    the left limit of the censoring survival curve, capped to keep the
-    variance finite deep in the censoring tail.
+    Stores the factors of the censoring survival curves, not the curves:
+    G(t | Z_i) = max(exp(-risk_i * Lambda_0(t)), tiny), where the baseline
+    cumulative hazard Lambda_0 jumps to ``cumhaz[k]`` at ``times[k]`` and is 0
+    before the first jump, ``risk`` holds the per-subject relative risks, and
+    tiny is the smallest positive float (extreme risk scores underflow exp).
+    The weight of subject i at time u is min(1 / G(u- | Z_i), cap): the left
+    limit of the censoring survival curve, capped to keep the variance finite
+    deep in the censoring tail.
+
+    Memory is O(n + K) for n subjects and K jumps.  A (subjects x times) block
+    exists only when ``weights_at`` is asked for one; callers that need many
+    times for many subjects evaluate ``subset`` blocks of subjects in turn.
     """
 
     times: np.ndarray
-    surv_values: np.ndarray
+    cumhaz: np.ndarray
+    risk: np.ndarray
     cap: float = 20.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        vals = np.asarray(self.surv_values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != times.size:
-            raise DataError("surv_values must be (n_subjects, len(times))")
+        cumhaz = np.asarray(self.cumhaz, dtype=float)
+        risk = np.asarray(self.risk, dtype=float)
+        if times.ndim != 1 or cumhaz.shape != times.shape or risk.ndim != 1:
+            raise DataError("weight times and cumhaz must be 1-d and equal length, risk 1-d")
         if times.size and np.any(np.diff(times) <= 0):
             raise DataError("weight times must be strictly increasing")
-        if vals.size and (np.any(vals <= 0) or np.any(vals > 1.0 + 1e-12)):
-            raise DataError("censoring survival values must lie in (0, 1]")
+        if not (np.all(np.isfinite(cumhaz)) and np.all(cumhaz >= 0)):
+            raise DataError("baseline cumulative hazard must be finite and nonnegative")
+        if not (np.all(np.isfinite(risk)) and np.all(risk >= 0)):
+            raise DataError("relative risks must be finite and nonnegative")
         if self.cap <= 0:
             raise DataError("weight cap must be positive")
-        times.setflags(write=False)
-        vals.setflags(write=False)
+        for arr in (times, cumhaz, risk):
+            arr.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "surv_values", vals)
+        object.__setattr__(self, "cumhaz", cumhaz)
+        object.__setattr__(self, "risk", risk)
         object.__setattr__(self, "cap", float(self.cap))
 
     @property
     def n_subjects(self) -> int:
-        return self.surv_values.shape[0]
+        return self.risk.size
 
-    def censoring_survival(self, i: int) -> StepSurvivalCurve:
-        """The stored G(t | Z_i) curve for one subject."""
-        return StepSurvivalCurve(self.times, self.surv_values[i], 1.0)
+    def _survival(self, lam: np.ndarray) -> np.ndarray:
+        """max(exp(-risk_i * lam_k), tiny) as a fresh (n, len(lam)) array."""
+        g = np.outer(self.risk, lam)
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        return np.maximum(g, np.finfo(float).tiny, out=g)
+
+    @property
+    def surv_values(self) -> np.ndarray:
+        """The dense (n_subjects, len(times)) matrix of G(times[k] | Z_i).
+
+        Built on every access, O(n * K) memory; the library never uses it.
+        """
+        g = self._survival(self.cumhaz)
+        g.setflags(write=False)
+        return g
 
     def survival_at_left(self, u) -> np.ndarray:
         """G(u- | Z_i) for every subject: shape (n,) or (n, len(u))."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = np.searchsorted(self.times, u_arr, side="left") - 1
-        if self.times.size:
-            g = np.where(idx < 0, 1.0, self.surv_values[:, np.maximum(idx, 0)])
-        else:
-            g = np.ones((self.n_subjects, u_arr.size))
+        idx = np.searchsorted(self.times, u_arr, side="left")
+        # Lambda_0 is 0 before the first jump, so G(u-) is exactly 1 there
+        g = self._survival(np.concatenate(([0.0], self.cumhaz))[idx])
         return g[:, 0] if np.isscalar(u) or np.asarray(u).ndim == 0 else g
 
     def weights_at(self, u) -> np.ndarray:
-        """Capped IPCW weights min(1/G(u-), cap) for every subject at ``u``."""
-        g = self.survival_at_left(u)
-        return np.minimum(1.0 / g, self.cap)
+        """Capped IPCW weights min(1/G(u-), cap) for every subject at ``u``.
 
-    def weight(self, i: int, u) -> float:
-        g = self.censoring_survival(i).at_left(u)
-        return float(np.minimum(1.0 / g, self.cap))
+        Only the requested columns are computed: O(n * len(u)) time and memory.
+        """
+        g = self.survival_at_left(u)
+        np.divide(1.0, g, out=g)
+        return np.minimum(g, self.cap, out=g)
 
     def subset(self, indices) -> "WeightFunction":
-        idx = np.asarray(indices)
-        return WeightFunction(self.times, self.surv_values[idx], self.cap)
+        return WeightFunction(self.times, self.cumhaz, self.risk[indices], self.cap)
 
     @classmethod
     def constant(cls, weights, cap: float | None = None) -> "WeightFunction":
-        """Weights that are constant in time, one value >= 1 per subject."""
+        """Weights that are constant in time, one value >= 1 per subject.
+
+        The degenerate Cox factorisation: one jump of size 1 at time 0 and
+        risk log(w), so G = exp(-log w) = 1/w after time 0.
+        """
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if np.any(w < 1.0):
             raise DataError("constant weights must be >= 1 (they are 1/G with G <= 1)")
         if cap is None:
             cap = max(20.0, float(w.max()))
-        return cls(np.array([0.0]), (1.0 / w)[:, None], cap)
+        return cls(np.array([0.0]), np.array([1.0]), np.log(w), cap)
+
+
+def _blocks(m: int) -> list[slice]:
+    """Consecutive slices of at most ``_CHUNK`` subjects covering range(m)."""
+    return [slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)]
+
+
+def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 0.0):
+    """Weighted event sums A and at-risk sums B at the sorted event times ``u``.
+
+    ``u`` must hold every distinct event time of the sample up to ``u[-1]``.
+    Subject k of the sample (``times[k]``, ``events[k]``) takes weight row
+    ``rows[k]`` of ``weights``, evaluated at ``u + offset``.  A[j] adds the
+    weights of the events at u[j], B[j] those of the subjects with time >= u[j].
+    Subjects are processed in blocks of ``_CHUNK``, so memory is
+    O(_CHUNK * len(u) + n); both sums still add the subjects one by one in
+    sample order, as a single block would.  Returns (A, B, w) where ``w`` is
+    the sample's weight block when it fits in one block, else None.
+    """
+    K = u.size
+    col = np.searchsorted(u, times, side="left")
+    hit = events & (col < K)
+    B = np.zeros(K)
+    event_w = []
+    blocks = _blocks(times.size)
+    for sl in blocks:
+        w = weights.subset(rows[sl]).weights_at(u + offset)
+        ev = np.flatnonzero(hit[sl])
+        event_w.append(w[ev, col[sl][ev]])
+        # the running total heads the block so the column sum keeps sample order
+        block = np.empty((w.shape[0] + 1, K))
+        block[0] = B
+        np.multiply(w, times[sl, None] >= u, out=block[1:])
+        B = block.sum(axis=0)
+    A = np.bincount(col[hit], weights=np.concatenate(event_w), minlength=K)
+    return A, B, (w if len(blocks) == 1 else None)
 
 
 def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurvivalCurve:
@@ -194,7 +260,8 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
 
     Each jump is (sum of weights of events at u) / (weighted at-risk total at
     u).  With all weights equal the weights cancel and the plain Nelson-Aalen
-    estimator comes back.
+    estimator comes back.  The sums run over blocks of subjects, so memory is
+    linear in the number of subjects.
     """
     if len(data) == 0:
         raise DataError("empty dataset")
@@ -203,13 +270,7 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
     u = np.unique(data.time[data.event])
     if u.size == 0:
         return StepSurvivalCurve(u, np.empty(0), 0.0)
-    w = weights.weights_at(u)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise DataError("invalid weight")
-    at_risk = data.time[:, None] >= u[None, :]
-    event_at = (data.time[:, None] == u[None, :]) & data.event[:, None]
-    num = (w * event_at).sum(axis=0)
-    den = (w * at_risk).sum(axis=0)
+    num, den, _ = _ipcw_sums(data.time, data.event, u, weights, np.arange(len(data)))
     return StepSurvivalCurve(u, np.cumsum(num / den), 0.0)
 
 

@@ -13,7 +13,6 @@ refits; a naive refit oracle is kept alongside for verification.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -22,8 +21,14 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .estimators import WeightFunction, ipcw_survival, kaplan_meier
-from .util import fmt6
+from .estimators import (
+    WeightFunction,
+    _blocks,
+    _event_table,
+    _ipcw_sums,
+    ipcw_survival,
+    kaplan_meier,
+)
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,12 @@ class PseudoTable:
         )
 
     def to_csv(self, path) -> None:
-        """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo``."""
+        """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo``.
+
+        The layout of ``csv.writer`` (comma separated, CRLF line ends; no field
+        needs quoting), built column by column: numbers at 6 significant
+        digits as ``fmt6`` writes them, one one-hot string per interval.
+        """
         J = self.n_intervals
         header = (
             ["id"]
@@ -156,17 +166,16 @@ class PseudoTable:
             + [f"d_{j}" for j in range(J)]
             + ["pseudo"]
         )
-        onehot = self.time_indicators
+        onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
+        columns = (
+            [map(str, self.subject_ids.tolist())]
+            + [[format(v, ".6g") for v in col.tolist()] for col in self.covariates.T]
+            + [[onehot[j] for j in self.time_index.tolist()]]
+            + [[format(v, ".6g") for v in self.pseudo.tolist()]]
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                writer.writerow(
-                    [int(self.subject_ids[k])]
-                    + [fmt6(v) for v in self.covariates[k]]
-                    + [int(v) for v in onehot[k]]
-                    + [fmt6(self.pseudo[k])]
-                )
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def make_grid(
@@ -215,7 +224,7 @@ def _km_loo(times: np.ndarray, events: np.ndarray, horizon: float):
         s_loo = (c - above) / (m - 1)
         return s_full, s_loo, True
 
-    u, d, nrisk = _event_table_sorted(times, events)
+    u, d, nrisk = _event_table(times, events)
     mstar = int(np.searchsorted(u, horizon, side="right"))
     p = 1.0 - d / nrisk
     safe = nrisk > 1
@@ -238,41 +247,46 @@ def _km_loo(times: np.ndarray, events: np.ndarray, horizon: float):
     return pprod_full, s_loo, False
 
 
-def _event_table_sorted(times, events):
-    sorted_times = np.sort(times)
-    u, d = np.unique(times[events], return_counts=True)
-    nrisk = times.size - np.searchsorted(sorted_times, u, side="left")
-    return u, d, nrisk
+def _ipcw_loo(times, events, u, weights, rows, time_offset):
+    """IPCW survival exp(-weighted hazard) at the horizon plus leave-one-out values.
 
-
-def _ipcw_loo(times, events, horizon, wmat, u):
-    """IPCW survival exp(-weighted hazard) at ``horizon`` plus leave-one-out values.
-
-    ``u`` are the distinct event times at or before the horizon and ``wmat``
-    the (m, len(u)) weights of every subject at those times.  Removing a
-    subject drops its weight from both the event sum and the at-risk sum of
-    every term; a term whose risk set empties contributes nothing.
+    ``u`` are the distinct event times at or before the horizon; subject k
+    takes weight row ``rows[k]``, evaluated at ``u + time_offset``.  Removing
+    a subject drops its weight from both the event sum and the at-risk sum of
+    every term; a term whose risk set empties contributes nothing.  A first
+    pass accumulates the sums, a second computes each subject's leave-one-out
+    terms, both over the same blocks of subjects: memory O(block * len(u) + n).
     """
-    at_risk = times[:, None] >= u[None, :]
-    event_at = events[:, None] & (times[:, None] == u[None, :])
-    aw = wmat * event_at
-    bw = wmat * at_risk
-    A = aw.sum(axis=0)
-    B = bw.sum(axis=0)
+    A, B, w = _ipcw_sums(times, events, u, weights, rows, time_offset)
     s_full = float(np.exp(-(A / B).sum()))
-    B_loo = B[None, :] - bw
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(B_loo > 0, (A[None, :] - aw) / np.where(B_loo > 0, B_loo, 1.0), 0.0)
-    s_loo = np.exp(-terms.sum(axis=1))
+    col = np.searchsorted(u, times, side="left")
+    own = events & (col < u.size)
+    s_loo = np.empty(times.size)
+    for sl in _blocks(times.size):
+        # a single block reuses the first pass's weights; several compute them again
+        wb = w if w is not None else weights.subset(rows[sl]).weights_at(u + time_offset)
+        ev = np.flatnonzero(own[sl])
+        ev_col = col[sl][ev]
+        ev_w = wb[ev, ev_col]
+        # in place: the weights become the leave-one-out at-risk sums, then the terms
+        np.multiply(wb, times[sl, None] >= u, out=wb)
+        np.subtract(B, wb, out=wb)
+        ev_den = wb[ev, ev_col]
+        pos = wb > 0
+        np.divide(A, wb, out=wb, where=pos)
+        np.copyto(wb, 0.0, where=~pos)
+        ok = ev_den > 0
+        wb[ev[ok], ev_col[ok]] = (A[ev_col[ok]] - ev_w[ok]) / ev_den[ok]
+        s_loo[sl] = np.exp(-wb.sum(axis=1))
     return s_full, s_loo
 
 
-def _loo_pseudo(times, events, horizon, weights=None, subject_mask=None, time_offset=0.0):
+def _loo_pseudo(times, events, horizon, weights=None, rows=None, time_offset=0.0):
     """Pseudo values for one sample at one horizon; shared by all entry points.
 
     ``times`` may be residual times; ``time_offset`` is then the interval
     start, so the weight function is always evaluated at absolute time.
-    ``subject_mask`` selects the weight rows belonging to this risk set.
+    ``rows`` are the weight rows of this sample's subjects (default: all).
     """
     m = times.size
     if weights is None:
@@ -282,10 +296,9 @@ def _loo_pseudo(times, events, horizon, weights=None, subject_mask=None, time_of
         return m * s_full - (m - 1) * s_loo, s_full, s_loo
     u = np.unique(times[events])
     u = u[u <= horizon]
-    wmat = weights.weights_at(u + time_offset)
-    if subject_mask is not None:
-        wmat = wmat[subject_mask]
-    s_full, s_loo = _ipcw_loo(times, events, horizon, wmat, u)
+    if rows is None:
+        rows = np.arange(m)
+    s_full, s_loo = _ipcw_loo(times, events, u, weights, rows, time_offset)
     return m * s_full - (m - 1) * s_loo, s_full, s_loo
 
 
@@ -365,10 +378,9 @@ def pseudo_conditional(
                 "its pseudo values are all 1",
                 stacklevel=2,
             )
-        values, _, _ = _loo_pseudo(
-            res_t, res_e, horizon, weights, subject_mask=at_risk, time_offset=start
-        )
-        ids_parts.append(np.flatnonzero(at_risk))
+        ids = np.flatnonzero(at_risk)
+        values, _, _ = _loo_pseudo(res_t, res_e, horizon, weights, rows=ids, time_offset=start)
+        ids_parts.append(ids)
         tidx_parts.append(np.full(r_j, j))
         pseudo_parts.append(values)
 

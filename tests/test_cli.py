@@ -174,6 +174,22 @@ class TestTrainPredictEvaluate:
         assert float(rows_out[1][2]) == 0.0  # brier
         assert float(rows_out[1][1]) >= 0.5  # indicator ties cap the c-index
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [(["1", "0.4", "abc"], "invalid number 'abc' at row 2"),
+         (["1", "0.4"], "predictions row 2 has 2 cells, expected 3")],
+    )
+    def test_evaluate_malformed_predictions_exit_2(self, tmp_path, capsys, bad_row, message):
+        src = tmp_path / "d.csv"
+        write_csv(src, [["time", "event"], ["1", "1"], ["2", "0"], ["3", "1"]])
+        pred_path = tmp_path / "pred.csv"
+        write_csv(pred_path, [["id", "1.5", "2.5"], ["0", "0.2", "0.1"], bad_row,
+                              ["2", "0.9", "0.8"]])
+        code = main(["evaluate", "--input", str(src), "--predictions", str(pred_path),
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_evaluate_needs_exactly_one_source(self, tmp_path, sim_csv):
         out = tmp_path / "r.csv"
         assert main(["evaluate", "--input", str(sim_csv), "--output", str(out)]) == 2

@@ -114,8 +114,8 @@ class TestCensoringWeights:
     def test_cap_arithmetic(self):
         from pseudosurv import WeightFunction
 
-        w = WeightFunction(np.array([1.0]), np.array([[0.04]]), cap=20.0)
-        assert w.weight(0, 5.0) == 20.0
+        w = WeightFunction(np.array([1.0]), np.array([np.log(25.0)]), np.ones(1), cap=20.0)
+        assert w.weights_at(5.0)[0] == 20.0
 
     def test_weights_nondecreasing_in_time(self):
         data = gen_cox(CoxSimSpec(n=300, dependent_censoring=True, seed=3))

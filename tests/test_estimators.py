@@ -132,10 +132,10 @@ class TestWeightedNelsonAalen:
 
     def test_invalid_weight_rejected(self):
         d = simple([1, 2], [1, 1])
-        w = WeightFunction.constant(np.array([2.0, 1.0]))
-        bad = WeightFunction(w.times, w.surv_values, cap=np.inf)
-        object.__setattr__(bad, "surv_values", np.array([[np.inf], [1.0]]))
-        with pytest.raises(DataError, match="invalid weight"):
+        bad = WeightFunction.constant(np.array([2.0, 1.0]), cap=np.inf)
+        object.__setattr__(bad, "risk", np.array([np.nan, 0.0]))  # bypasses validation
+        # every block of weights is evaluated through the validating constructor
+        with pytest.raises(DataError, match="relative risks"):
             nelson_aalen_weighted(d, bad)
 
 
@@ -176,24 +176,55 @@ class TestIpcwSurvival:
 
 class TestWeightFunction:
     def test_survival_values_validated(self):
+        one = np.array([1.0])
         with pytest.raises(DataError):
-            WeightFunction(np.array([1.0]), np.array([[1.5]]), 20.0)
+            WeightFunction(one, np.array([-0.5]), one, 20.0)  # G above 1
         with pytest.raises(DataError):
-            WeightFunction(np.array([1.0]), np.array([[0.0]]), 20.0)
+            WeightFunction(one, np.array([np.inf]), one, 20.0)  # G of 0
+        with pytest.raises(DataError):
+            WeightFunction(one, one, np.array([-1.0]), 20.0)
+        with pytest.raises(DataError):
+            WeightFunction(one, one, np.array([np.nan]), 20.0)
+        with pytest.raises(DataError):
+            WeightFunction(np.array([2.0, 1.0]), np.array([0.1, 0.2]), one, 20.0)
 
     def test_cap_applies(self):
-        w = WeightFunction(np.array([1.0]), np.array([[0.04]]), 20.0)
-        assert w.weight(0, 2.0) == 20.0
+        # G(2-) = exp(-log 25) = 0.04, weight 25 before the cap
+        w = WeightFunction(np.array([1.0]), np.array([np.log(25.0)]), np.ones(1), 20.0)
+        assert w.weights_at(2.0)[0] == 20.0
 
     def test_left_limit_convention(self):
-        w = WeightFunction(np.array([1.0]), np.array([[0.5]]), 20.0)
-        assert w.weight(0, 1.0) == 1.0  # G(1-) is still 1
-        assert w.weight(0, 1.5) == 2.0
+        w = WeightFunction(np.array([1.0]), np.array([np.log(2.0)]), np.ones(1), 20.0)
+        assert w.weights_at(1.0)[0] == 1.0  # G(1-) is still 1
+        assert w.weights_at(1.5)[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_per_subject_curves(self):
-        w = WeightFunction(np.array([1.0, 2.0]), np.array([[0.9, 0.5], [0.8, 0.4]]), 20.0)
-        c1 = w.censoring_survival(1)
-        assert c1.at(1.5) == 0.8
+        # every subject's curve is the baseline raised to its own relative risk
+        w = WeightFunction(np.array([1.0, 2.0]), np.array([0.1, 0.7]), np.array([1.0, 2.0]), 20.0)
+        g = w.survival_at_left(np.array([1.5, 2.5]))
+        assert g[1, 0] == np.exp(-0.2) and g[1, 1] == np.exp(-1.4)
+        assert g[0, 1] == np.exp(-0.7)
+
+    def test_weights_equal_dense_construction(self, rng):
+        times = np.cumsum(rng.uniform(0.1, 1.0, 40))
+        cumhaz = np.cumsum(rng.exponential(0.05, 40))
+        risk = np.exp(rng.normal(0.0, 3.0, 25))
+        risk[0] = 1e300  # G underflows to the floor
+        w = WeightFunction(times, cumhaz, risk, 20.0)
+        dense = np.maximum(np.exp(-np.outer(risk, cumhaz)), np.finfo(float).tiny)
+        assert np.array_equal(w.surv_values, dense)
+        u = np.concatenate(([0.0, times[0]], rng.uniform(0.0, times[-1] + 1.0, 30)))
+        idx = np.searchsorted(times, u, side="left") - 1
+        expected = np.minimum(1.0 / np.where(idx < 0, 1.0, dense[:, np.maximum(idx, 0)]), 20.0)
+        assert np.array_equal(w.weights_at(u), expected)
+        assert np.array_equal(w.subset([3, 1]).weights_at(u), expected[[3, 1]])
+
+    def test_constant_is_one_jump_at_zero(self):
+        w = WeightFunction.constant(np.array([1.0, 4.0]))
+        assert np.array_equal(w.weights_at(0.0), [1.0, 1.0])
+        assert w.weights_at(3.0) == pytest.approx([1.0, 4.0], abs=1e-14)
+        with pytest.raises(DataError):
+            WeightFunction.constant(np.array([0.5]))
 
 
 def test_censoring_km_flips_indicator():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosurv import (
     DataError,
@@ -22,6 +24,27 @@ from conftest import random_censored_dataset
 def simple(times, events):
     return Dataset(np.asarray(times, dtype=float), np.asarray(events, dtype=bool),
                    np.empty((len(times), 0)), ())
+
+
+def c_index_loop(data, pred, times):
+    """The original O(n) scan per event, kept as the oracle for ``c_index``."""
+    values = np.full(times.size, np.nan)
+    counts = np.zeros(times.size, dtype=int)
+    for h in range(times.size):
+        s = pred[:, h]
+        credit = 0.0
+        pairs = 0
+        for i in np.flatnonzero(data.event & (data.time <= times[h])):
+            later = data.time > data.time[i]
+            m = int(later.sum())
+            if m == 0:
+                continue
+            pairs += m
+            credit += float((s[later] > s[i]).sum()) + 0.5 * float((s[later] == s[i]).sum())
+        counts[h] = pairs
+        if pairs:
+            values[h] = credit / pairs
+    return values, counts
 
 
 class TestCIndex:
@@ -72,6 +95,36 @@ class TestCIndex:
         d = simple([1, 2, 3], [1, 1, 1])
         with pytest.raises(DataError):
             c_index(d, np.zeros((2, 1)), [1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_loop_oracle(self, data):
+        n = data.draw(st.integers(1, 400))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        # few distinct times and prediction levels make ties common
+        times = rng.integers(1, data.draw(st.integers(2, 60)), n).astype(float)
+        events = rng.random(n) < data.draw(st.floats(0.0, 1.0))
+        levels = data.draw(st.integers(1, 30))
+        pred = rng.integers(0, levels, (n, 3)) / levels
+        if data.draw(st.booleans()):
+            pred[rng.random((n, 3)) < 0.1] = np.nan
+        horizons = np.array([0.5, float(np.median(times)), float(times.max())])
+        d = simple(times, events)
+        values, pairs = c_index(d, pred, horizons)
+        expected_values, expected_pairs = c_index_loop(d, pred, horizons)
+        assert np.array_equal(pairs, expected_pairs)
+        assert np.array_equal(values, expected_values, equal_nan=True)
+        assert np.isnan(values[0]) and pairs[0] == 0  # nothing fails by 0.5
+
+    def test_equals_loop_oracle_across_blocks(self, rng):
+        d = random_censored_dataset(rng, 1500)
+        pred = np.round(rng.random((len(d), 2)), 2)
+        horizons = np.quantile(d.time, [0.3, 0.9])
+        values, pairs = c_index(d, pred, horizons)
+        expected_values, expected_pairs = c_index_loop(d, pred, horizons)
+        assert np.array_equal(pairs, expected_pairs)
+        assert np.array_equal(values, expected_values)
 
 
 class TestBrier:

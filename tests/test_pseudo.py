@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudosurv import (
+    CoxSimSpec,
     DataError,
     Dataset,
     TimeGrid,
     WeightFunction,
+    censoring_weights,
+    fit_cox,
+    gen_cox,
     make_grid,
     pseudo_conditional,
     pseudo_marginal,
     pseudo_marginal_naive,
 )
+from pseudosurv import estimators
 from pseudosurv.pseudo import _loo_pseudo
 
 from conftest import random_censored_dataset, uncensored_dataset
@@ -176,6 +182,67 @@ class TestPseudoConditional:
         d = simple([1.0, 2.0, 3.0], [1, 1, 1])
         with pytest.raises(DataError):
             pseudo_conditional(d, TimeGrid(np.array([3.0])))
+
+
+def ipcw_pseudo_dense(data, grid, weights):
+    """Conditional IPCW pseudo values from one dense (risk set x event times) block each.
+
+    The unchunked formula: the reference for the blocked leave-one-out.
+    """
+    out = []
+    for j in range(grid.n_intervals):
+        start = grid.interval_start(j)
+        horizon = grid.interval_end(j) - start
+        at_risk = data.time > start
+        t, e = data.time[at_risk] - start, data.event[at_risk]
+        u = np.unique(t[e])
+        u = u[u <= horizon]
+        w = weights.weights_at(u + start)[at_risk]
+        aw = w * (e[:, None] & (t[:, None] == u[None, :]))
+        bw = w * (t[:, None] >= u[None, :])
+        A, B = aw.sum(axis=0), bw.sum(axis=0)
+        b_loo = B[None, :] - bw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(b_loo > 0, (A[None, :] - aw) / np.where(b_loo > 0, b_loo, 1.0), 0.0)
+        m = t.size
+        pseudo = m * np.exp(-(A / B).sum()) - (m - 1) * np.exp(-terms.sum(axis=1))
+        out.append((np.flatnonzero(at_risk), np.full(m, j), pseudo))
+    ids, tidx, pseudo = (np.concatenate(parts) for parts in zip(*out))
+    return pseudo[np.lexsort((tidx, ids))]
+
+
+class TestIpcwBlocks:
+    @pytest.mark.parametrize("n", [7, 8, 9, 30])
+    def test_blocked_matches_dense_formula(self, n, monkeypatch):
+        monkeypatch.setattr(estimators, "_CHUNK", 8)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            d = random_censored_dataset(rng, n, p=1, tie_prob=0.5)
+            events = d.event.copy()
+            events[:2] = (False, True)  # both the censoring and the event model have data
+            d = Dataset(d.time, events, d.covariates, d.covariate_names)
+            model = fit_cox(d, target="censoring")
+            weights = censoring_weights(d, model, cap=5.0)
+            grid = make_grid(d, percentiles=[0.1, 0.3, 0.5])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = pseudo_conditional(d, grid, weights)
+            expected = ipcw_pseudo_dense(d, grid, weights)
+            assert np.max(np.abs(table.pseudo - expected)) <= 1e-12
+
+    def test_memory_linear_at_ten_thousand(self):
+        d = gen_cox(CoxSimSpec(n=10_000, dependent_censoring=True, seed=3))
+        grid = make_grid(d, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
+        model = fit_cox(d, target="censoring")
+        tracemalloc.start()
+        try:
+            table = pseudo_conditional(d, grid, censoring_weights(d, model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 30_000
+        # the dense censoring survival matrix alone was 382 MB here
+        assert peak < 100 * 2**20
 
 
 class TestUncensoredExactness:
