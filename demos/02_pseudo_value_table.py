@@ -22,18 +22,19 @@ grid = ps.make_grid(data, times=[6.0, 12.0, 18.0])
 table = ps.pseudo_conditional(data, grid)
 
 print("follow-up data:")
-for i, rec in enumerate(data.records):
-    flag = "event" if rec.event else "censored"
-    print(f"  subject {i}: t={rec.time:5.1f} {flag:9s} z={rec.covariates[0]:+.1f}")
+for i, (t, event, z) in enumerate(zip(data.time, data.event, data.covariates)):
+    flag = "event" if event else "censored"
+    print(f"  subject {i}: t={t:5.1f} {flag:9s} z={z[0]:+.1f}")
 
 print()
 print("pseudo conditional survival probabilities (rows end when a subject")
 print("leaves the risk set):")
 print()
 print("id    z_1   d_0 d_6 d_12   pseudo")
-for row in table.rows():
-    d = " ".join(str(int(v)) for v in row.time_indicator)
-    print(f"{row.subject_id:2d}  {row.covariates[0]:+5.1f}   {d}   {row.pseudo_value:+7.3f}")
+rows = zip(table.subject_ids, table.covariates, table.time_indicators, table.pseudo)
+for subject, z, indicator, value in rows:
+    d = " ".join(str(int(v)) for v in indicator)
+    print(f"{subject:2d}  {z[0]:+5.1f}   {d}   {value:+7.3f}")
 
 outside = np.sum((table.pseudo < 0) | (table.pseudo > 1))
 print()

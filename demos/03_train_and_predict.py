@@ -35,10 +35,9 @@ print()
 print("predicted survival for three held-out subjects:")
 header = "subject  " + "  ".join(f"S(t>{c:6.2f})" for c in grid.cutpoints)
 print(header)
+marginal = ps.predict_marginal_matrix(model, test_data.covariates[:3])
 for i in range(3):
-    marginal = [ps.predict_marginal(model, test_data.covariates[i], j)
-                for j in range(grid.n_intervals)]
-    cells = "  ".join(f"{v:9.3f}" for v in marginal)
+    cells = "  ".join(f"{v:9.3f}" for v in marginal[i])
     print(f"{i:7d}  {cells}")
 
 curve = ps.predict_survival_curve(model, test_data.covariates[0])

@@ -9,7 +9,6 @@ the censoring-weighted Brier score (lower is better), both per horizon.
 import numpy as np
 
 import pseudosurv as ps
-from pseudosurv.net import _survival_at_times
 
 data = ps.gen_friedman_aft(ps.FriedmanSpec(n=1500, censoring_rate=0.4, seed=12))
 train_data, test_data = ps.split_dataset(data, 0.75, seed=12)
@@ -23,10 +22,8 @@ model = ps.train(table, config)
 
 cox = ps.fit_cox(train_data, target="event")
 
-pred_net = _survival_at_times(model, test_data.covariates, grid.cutpoints)
-pred_cox = np.column_stack(
-    [ps.cox_predict_survival(cox, test_data.covariates, t) for t in grid.cutpoints]
-)
+pred_net = ps.predict_survival(model, test_data.covariates, grid.cutpoints)
+pred_cox = ps.cox_predict_survival(cox, test_data.covariates, grid.cutpoints)
 
 report_net = ps.evaluate_predictions(test_data, pred_net, grid.cutpoints)
 report_cox = ps.evaluate_predictions(test_data, pred_cox, grid.cutpoints)

@@ -13,7 +13,6 @@ from .baselines import GeeModel, cox_predict_survival, fit_gee, gee_predict_surv
 from .cox import CoxModel, censoring_weights, fit_cox
 from .data import (
     Dataset,
-    SurvivalRecord,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -23,7 +22,6 @@ from .estimators import (
     StepSurvivalCurve,
     WeightFunction,
     censoring_kaplan_meier,
-    curve_eval,
     ipcw_survival,
     kaplan_meier,
     nelson_aalen,
@@ -34,18 +32,17 @@ from .net import (
     MlpConfig,
     MlpModel,
     default_grid,
+    fit_and_evaluate,
     grid_search,
     load_model,
-    predict_conditional,
     predict_conditional_matrix,
-    predict_marginal,
     predict_marginal_matrix,
+    predict_survival,
     predict_survival_curve,
     save_model,
     train,
 )
 from .pseudo import (
-    PseudoRow,
     PseudoTable,
     TimeGrid,
     make_grid,
@@ -73,11 +70,9 @@ __all__ = [
     "MlpConfig",
     "MlpModel",
     "NumericError",
-    "PseudoRow",
     "PseudoTable",
     "PseudosurvError",
     "StepSurvivalCurve",
-    "SurvivalRecord",
     "TimeGrid",
     "WeightFunction",
     "brier",
@@ -86,9 +81,9 @@ __all__ = [
     "censoring_kaplan_meier",
     "censoring_weights",
     "cox_predict_survival",
-    "curve_eval",
     "default_grid",
     "evaluate_predictions",
+    "fit_and_evaluate",
     "fit_cox",
     "fit_gee",
     "gee_predict_survival",
@@ -102,10 +97,9 @@ __all__ = [
     "make_grid",
     "nelson_aalen",
     "nelson_aalen_weighted",
-    "predict_conditional",
     "predict_conditional_matrix",
-    "predict_marginal",
     "predict_marginal_matrix",
+    "predict_survival",
     "predict_survival_curve",
     "pseudo_conditional",
     "pseudo_marginal",

@@ -30,12 +30,12 @@ from .estimators import censoring_kaplan_meier
 from .metrics import evaluate_predictions
 from .net import (
     default_grid,
+    fit_and_evaluate,
     grid_search,
     load_model,
     predict_conditional_matrix,
-    predict_marginal_matrix,
+    predict_survival,
     save_model,
-    _survival_at_times,
 )
 from .pseudo import make_grid, pseudo_conditional
 from .sim import (
@@ -47,39 +47,26 @@ from .sim import (
 )
 from .util import derived_seed, fmt6
 
+_COMMON = {"seed": 0, "threads": 0}
+_PSEUDO = {
+    "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
+    "grid_times": None,
+    "ipcw": False,
+    "censor_covariates": None,
+    "weight_cap": 20.0,
+    "drop_incomplete": False,
+}
+_SEARCH = {"budget": 20, "folds": 5, "epochs": 100, "batch_size": 256}
 _DEFAULTS = {
-    "transform": {
-        "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
-        "grid_times": None,
-        "ipcw": False,
-        "censor_covariates": None,
-        "weight_cap": 20.0,
-        "drop_incomplete": False,
-        "seed": 0,
-        "threads": 0,
-    },
-    "train": {
-        "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
-        "grid_times": None,
-        "ipcw": False,
-        "censor_covariates": None,
-        "weight_cap": 20.0,
-        "drop_incomplete": False,
-        "budget": 20,
-        "folds": 5,
-        "epochs": 100,
-        "batch_size": 256,
-        "seed": 0,
-        "threads": 0,
-    },
-    "predict": {"drop_incomplete": False, "seed": 0, "threads": 0},
+    "transform": {**_PSEUDO, **_COMMON},
+    "train": {**_PSEUDO, **_SEARCH, **_COMMON},
+    "predict": {"drop_incomplete": False, **_COMMON},
     "evaluate": {
         "predictions": None,
         "model": None,
         "times": None,
         "drop_incomplete": False,
-        "seed": 0,
-        "threads": 0,
+        **_COMMON,
     },
     "simulate": {
         "study": "cox-dependent",
@@ -88,22 +75,21 @@ _DEFAULTS = {
         "censoring_rate": 0.4,
         "with_net": False,
         "emit_data": False,
-        "budget": 20,
-        "folds": 5,
-        "epochs": 100,
-        "batch_size": 256,
-        "seed": 0,
-        "threads": 0,
+        **_SEARCH,
+        **_COMMON,
     },
-    "split": {"fraction": 0.75, "seed": 0, "threads": 0},
+    "split": {"fraction": 0.75, **_COMMON},
 }
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(value) -> np.ndarray:
+    """A number list: comma-separated text from a flag, or a list from a config file."""
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=float)
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return np.array([float(part) for part in value.split(",") if part.strip() != ""])
     except ValueError:
-        raise DataError(f"cannot parse number list {text!r}") from None
+        raise DataError(f"cannot parse number list {value!r}") from None
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
@@ -143,12 +129,8 @@ def _write_config(resolved: dict, command: str, anchor: Path) -> None:
 
 def _grid_from(resolved: dict, data: Dataset):
     if resolved.get("grid_times"):
-        times = resolved["grid_times"]
-        times = _parse_floats(times) if isinstance(times, str) else list(times)
-        return make_grid(data, times=times)
-    levels = resolved["grid_percentiles"]
-    levels = _parse_floats(levels) if isinstance(levels, str) else list(levels)
-    return make_grid(data, percentiles=levels)
+        return make_grid(data, times=_parse_floats(resolved["grid_times"]))
+    return make_grid(data, percentiles=_parse_floats(resolved["grid_percentiles"]))
 
 
 def _censor_names(resolved: dict):
@@ -219,7 +201,7 @@ def cmd_predict(resolved: dict) -> None:
     model = load_model(resolved["model"])
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     cond = predict_conditional_matrix(model, data.covariates)
-    marg = predict_marginal_matrix(model, data.covariates)
+    marg = np.cumprod(cond, axis=1)
     out = Path(resolved["output"])
     J = model.n_intervals
     with open(out, "w", newline="") as fh:
@@ -233,6 +215,11 @@ def cmd_predict(resolved: dict) -> None:
 
 
 def _load_predictions(path, n_expected: int):
+    """Prediction matrix in subject order plus its times.
+
+    Rows may come in any order: the ``id`` column, a permutation of
+    0..n-1, places each row on its subject.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -242,7 +229,7 @@ def _load_predictions(path, n_expected: int):
             times = [float(name) for name in header[1:]]
         except ValueError:
             raise DataError("prediction columns after 'id' must be named by their times") from None
-        rows = []
+        rows, row_of = [], np.full(n_expected, -1)
         for lineno, raw in enumerate(reader, start=1):
             if not raw:
                 continue
@@ -250,10 +237,21 @@ def _load_predictions(path, n_expected: int):
                 raise DataError(
                     f"predictions row {lineno} has {len(raw)} cells, expected {len(header)}"
                 )
+            try:
+                sid = int(raw[0])
+            except ValueError:
+                raise DataError(
+                    f"predictions row {lineno}: id {raw[0]!r} is not an integer"
+                ) from None
+            if not 0 <= sid < n_expected:
+                raise DataError(f"predictions row {lineno}: id {sid} is not in 0..{n_expected - 1}")
+            if row_of[sid] >= 0:
+                raise DataError(f"predictions row {lineno}: duplicate id {sid}")
+            row_of[sid] = len(rows)
             rows.append([_parse_cell(c, lineno, name) for c, name in zip(raw[1:], header[1:])])
     if len(rows) != n_expected:
         raise DataError(f"predictions have {len(rows)} rows, data has {n_expected}")
-    return np.asarray(rows, dtype=float), np.asarray(times, dtype=float)
+    return np.asarray(rows, dtype=float)[row_of], np.asarray(times, dtype=float)
 
 
 def cmd_evaluate(resolved: dict) -> None:
@@ -262,16 +260,8 @@ def cmd_evaluate(resolved: dict) -> None:
         raise DataError("provide exactly one of --model or --predictions")
     if resolved.get("model"):
         model = load_model(resolved["model"])
-        if resolved.get("times"):
-            times = np.asarray(
-                _parse_floats(resolved["times"])
-                if isinstance(resolved["times"], str)
-                else resolved["times"],
-                dtype=float,
-            )
-        else:
-            times = model.cutpoints
-        pred = _survival_at_times(model, data.covariates, times)
+        times = _parse_floats(resolved["times"]) if resolved.get("times") else model.cutpoints
+        pred = predict_survival(model, data.covariates, times)
     else:
         pred, times = _load_predictions(resolved["predictions"], len(data))
     report = evaluate_predictions(data, pred, times, censoring_kaplan_meier(data))
@@ -291,16 +281,29 @@ def cmd_split(resolved: dict) -> None:
     _write_config(resolved, "split", Path(resolved["train_out"]))
 
 
-def _parallel_map(fn, items, threads: int):
-    """Replicate-level parallelism in worker processes; order preserved.
+def _scores(label: str, report) -> dict:
+    return {
+        f"c_index_{label}": float(np.nanmean(report.c_index)),
+        f"brier_{label}": float(np.mean(report.brier)),
+    }
 
-    Each item derives its own randomness, so results are identical at any
-    worker count.
-    """
-    if threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+
+def _cox_scores(train_data: Dataset, test_data: Dataset, grid) -> dict:
+    """The linear Cox baseline scored on the test data at the grid cutpoints."""
+    cox_model = fit_cox(train_data, target="event")
+    pred = cox_predict_survival(cox_model, test_data.covariates, grid.cutpoints)
+    return _scores("cox", evaluate_predictions(test_data, pred, grid.cutpoints))
+
+
+def _search_args(resolved: dict) -> dict:
+    return {
+        "configs": default_grid(
+            epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"])
+        ),
+        "k": int(resolved["folds"]),
+        "budget": int(resolved["budget"]),
+        "n_jobs": int(resolved["threads"]),
+    }
 
 
 def _simulate_cox_replicate(resolved: dict, rep: int) -> dict:
@@ -315,8 +318,9 @@ def _simulate_cox_replicate(resolved: dict, rep: int) -> dict:
         write_dataset_with_metadata(
             train_data, info, Path(resolved["out"]) / f"replicate_{rep}_data.csv"
         )
-    gee = fit_gee(train_data, _grid_from_percentiles(train_data, 5), ipcw=False)
-    gee_ipcw = fit_gee(train_data, _grid_from_percentiles(train_data, 5), ipcw=True)
+    grid = make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
+    gee = fit_gee(train_data, grid, ipcw=False)
+    gee_ipcw = fit_gee(train_data, grid, ipcw=True)
     row = {
         "replicate": rep,
         "censoring_rate": float(1.0 - train_data.event.mean()),
@@ -324,16 +328,11 @@ def _simulate_cox_replicate(resolved: dict, rep: int) -> dict:
         "beta_gee_ipcw": float(gee_ipcw.beta[0]),
     }
     if resolved["with_net"]:
-        row.update(_net_comparison_cox(resolved, rep, train_data))
+        row.update(_net_comparison_cox(resolved, rep, train_data, grid))
     return row
 
 
-def _grid_from_percentiles(data: Dataset, count: int):
-    levels = [(i + 1) / 10.0 for i in range(count)]
-    return make_grid(data, percentiles=levels)
-
-
-def _net_comparison_cox(resolved: dict, rep: int, train_data: Dataset) -> dict:
+def _net_comparison_cox(resolved: dict, rep: int, train_data: Dataset, grid) -> dict:
     seed = int(resolved["seed"])
     test_data = gen_cox(
         CoxSimSpec(
@@ -343,36 +342,16 @@ def _net_comparison_cox(resolved: dict, rep: int, train_data: Dataset) -> dict:
             seed=derived_seed(seed, "cox-test", rep),
         )
     )
-    grid = _grid_from_percentiles(train_data, 5)
-    configs = default_grid(epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]))
+    ipcw_weights = censoring_weights(train_data, fit_cox(train_data, target="censoring"))
+    search = _search_args(resolved)
     out: dict = {}
-    for label, ipcw in (("net", False), ("net_ipcw", True)):
-        weights = None
-        if ipcw:
-            censor_model = fit_cox(train_data, target="censoring")
-            weights = censoring_weights(train_data, censor_model)
-        table = pseudo_conditional(train_data, grid, weights)
-        _, model = grid_search(
-            table,
-            train_data,
-            configs,
-            k=int(resolved["folds"]),
-            eval_times=grid,
-            budget=int(resolved["budget"]),
-            seed=derived_seed(seed, label, rep),
-            n_jobs=int(resolved["threads"]),
+    for label, weights in (("net", None), ("net_ipcw", ipcw_weights)):
+        _, report = fit_and_evaluate(
+            train_data, test_data, grid, weights=weights, seed=derived_seed(seed, label, rep),
+            **search,
         )
-        pred = _survival_at_times(model, test_data.covariates, grid.cutpoints)
-        report = evaluate_predictions(test_data, pred, grid.cutpoints)
-        out[f"c_index_{label}"] = float(np.nanmean(report.c_index))
-        out[f"brier_{label}"] = float(np.mean(report.brier))
-    cox_model = fit_cox(train_data, target="event")
-    pred = np.column_stack(
-        [cox_predict_survival(cox_model, test_data.covariates, t) for t in grid.cutpoints]
-    )
-    report = evaluate_predictions(test_data, pred, grid.cutpoints)
-    out["c_index_cox"] = float(np.nanmean(report.c_index))
-    out["brier_cox"] = float(np.mean(report.brier))
+        out.update(_scores(label, report))
+    out.update(_cox_scores(train_data, test_data, grid))
     return out
 
 
@@ -392,32 +371,15 @@ def _simulate_aft_replicate(resolved: dict, rep: int) -> dict:
         )
     train_data, test_data = split_dataset(data, 0.75, seed=derived_seed(seed, "aft-split", rep))
     grid = make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    table = pseudo_conditional(train_data, grid)
-    configs = default_grid(epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]))
-    _, model = grid_search(
-        table,
-        train_data,
-        configs,
-        k=int(resolved["folds"]),
-        eval_times=grid,
-        budget=int(resolved["budget"]),
-        seed=derived_seed(seed, "aft-net", rep),
-        n_jobs=int(resolved["threads"]),
+    _, report_net = fit_and_evaluate(
+        train_data, test_data, grid, seed=derived_seed(seed, "aft-net", rep),
+        **_search_args(resolved),
     )
-    pred_net = _survival_at_times(model, test_data.covariates, grid.cutpoints)
-    report_net = evaluate_predictions(test_data, pred_net, grid.cutpoints)
-    cox_model = fit_cox(train_data, target="event")
-    pred_cox = np.column_stack(
-        [cox_predict_survival(cox_model, test_data.covariates, t) for t in grid.cutpoints]
-    )
-    report_cox = evaluate_predictions(test_data, pred_cox, grid.cutpoints)
     return {
         "replicate": rep,
         "censoring_rate": float(1.0 - data.event.mean()),
-        "c_index_net": float(np.nanmean(report_net.c_index)),
-        "brier_net": float(np.mean(report_net.brier)),
-        "c_index_cox": float(np.nanmean(report_cox.c_index)),
-        "brier_cox": float(np.mean(report_cox.brier)),
+        **_scores("net", report_net),
+        **_cox_scores(train_data, test_data, grid),
     }
 
 
@@ -431,9 +393,11 @@ def cmd_simulate(resolved: dict) -> None:
     worker = _simulate_aft_replicate if study == "aft" else _simulate_cox_replicate
     threads = int(resolved["threads"])
     if threads > 1 and len(reps) > 1:
-        # replicates take the workers; searches inside each replicate run serial
-        inner = dict(resolved, threads=1)
-        rows = _parallel_map(functools.partial(worker, inner), reps, threads)
+        # replicates take the worker processes; searches inside each run serial.
+        # Each replicate derives its own randomness, so rows match at any count.
+        inner = functools.partial(worker, dict(resolved, threads=1))
+        with ProcessPoolExecutor(max_workers=min(threads, len(reps))) as pool:
+            rows = list(pool.map(inner, reps))
     else:
         rows = [worker(resolved, rep) for rep in reps]
 
@@ -470,32 +434,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--threads", type=int, help="0 = all available cores")
 
+    def pseudo_flags(p):
+        p.add_argument("--grid-percentiles", dest="grid_percentiles")
+        p.add_argument("--grid-times", dest="grid_times")
+        p.add_argument("--ipcw", action="store_const", const=True)
+        p.add_argument("--censor-covariates", dest="censor_covariates")
+        p.add_argument("--weight-cap", dest="weight_cap", type=float)
+        p.add_argument(
+            "--drop-incomplete", dest="drop_incomplete", action="store_const", const=True
+        )
+
+    def search_flags(p):
+        p.add_argument("--budget", type=int)
+        p.add_argument("--folds", type=int)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch-size", dest="batch_size", type=int)
+
     p = sub.add_parser("transform", help="build the pseudo-value table CSV")
     common(p)
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--grid-percentiles", dest="grid_percentiles")
-    p.add_argument("--grid-times", dest="grid_times")
-    p.add_argument("--ipcw", action="store_const", const=True)
-    p.add_argument("--censor-covariates", dest="censor_covariates")
-    p.add_argument("--weight-cap", dest="weight_cap", type=float)
-    p.add_argument("--drop-incomplete", dest="drop_incomplete", action="store_const", const=True)
+    pseudo_flags(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", help="hyperparameter search, fit, and persist the model")
     common(p)
     p.add_argument("--input")
     p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--grid-percentiles", dest="grid_percentiles")
-    p.add_argument("--grid-times", dest="grid_times")
-    p.add_argument("--ipcw", action="store_const", const=True)
-    p.add_argument("--censor-covariates", dest="censor_covariates")
-    p.add_argument("--weight-cap", dest="weight_cap", type=float)
-    p.add_argument("--drop-incomplete", dest="drop_incomplete", action="store_const", const=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    pseudo_flags(p)
+    search_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="per-subject conditional and marginal survival")
@@ -524,10 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--censoring-rate", dest="censoring_rate", type=float)
     p.add_argument("--with-net", dest="with_net", action="store_const", const=True)
     p.add_argument("--emit-data", dest="emit_data", action="store_const", const=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    search_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,6 +1,6 @@
 """Right-censored survival datasets and their CSV schema.
 
-A dataset is a fixed-order collection of subjects; the record index doubles
+A dataset is a fixed-order collection of subjects; the row index doubles
 as the subject id everywhere else in the package, so subsetting or permuting
 yields a new dataset with fresh ids.
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -17,15 +16,6 @@ from .errors import DataError
 from .util import derived_rng, fmt6
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: observed follow-up time, event indicator, covariates."""
-
-    time: float
-    event: bool
-    covariates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,35 +70,10 @@ class Dataset:
     def p(self) -> int:
         return self.covariates.shape[1]
 
-    @property
-    def n_events(self) -> int:
-        return int(self.event.sum())
-
-    def record(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(float(self.time[i]), bool(self.event[i]), self.covariates[i])
-
-    @property
-    def records(self) -> Iterator[SurvivalRecord]:
-        return (self.record(i) for i in range(self.n))
-
     def subset(self, indices) -> "Dataset":
         """New dataset from a boolean mask or index array (re-indexed ids)."""
         idx = np.asarray(indices)
         return Dataset(self.time[idx], self.event[idx], self.covariates[idx], self.covariate_names)
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.covariate_names.index(name)
-        except ValueError:
-            raise DataError(f"unknown covariate {name!r}") from None
-        return self.covariates[:, j]
-
-    @classmethod
-    def from_records(cls, records: Sequence[SurvivalRecord], covariate_names) -> "Dataset":
-        times = np.array([r.time for r in records], dtype=float)
-        events = np.array([r.event for r in records], dtype=bool)
-        covs = np.vstack([np.atleast_1d(r.covariates) for r in records]) if records else np.empty((0, 0))
-        return cls(times, events, covs, tuple(covariate_names))
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:

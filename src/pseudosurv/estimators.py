@@ -63,11 +63,6 @@ class StepSurvivalCurve:
         return self._eval(t, side="left")
 
 
-def curve_eval(curve: StepSurvivalCurve, t):
-    """Evaluate a step curve at time(s) ``t`` (right-continuous)."""
-    return curve.at(t)
-
-
 def _event_table(time: np.ndarray, event: np.ndarray):
     """Distinct event times with death counts and at-risk counts.
 

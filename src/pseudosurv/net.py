@@ -23,9 +23,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericError
-from .estimators import StepSurvivalCurve
-from .metrics import c_index
-from .pseudo import PseudoTable, TimeGrid
+from .estimators import StepSurvivalCurve, WeightFunction
+from .metrics import EvalReport, c_index, evaluate_predictions
+from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
 from .util import derived_rng, derived_seed
 
 HIDDEN_WIDTHS = (4, 8, 16, 32, 64, 128)
@@ -299,46 +299,19 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     )
 
 
-def _design_rows(model: MlpModel, covariates: np.ndarray, time_index: int) -> np.ndarray:
-    z = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if z.shape[1] != model.p:
-        raise DataError(f"expected {model.p} covariates, got {z.shape[1]}")
-    zs = (z - model.covariate_mean) / model.covariate_std
-    onehot = np.zeros((z.shape[0], model.n_intervals))
-    onehot[:, time_index] = 1.0
-    return np.hstack([zs, onehot])
-
-
-def predict_conditional(model: MlpModel, covariates, time_index: int):
-    """Predicted probability of surviving interval ``time_index`` given entry.
-
-    A single covariate vector yields a float; a matrix yields one value per row.
-    """
-    if not 0 <= time_index < model.n_intervals:
-        raise DataError("time_index out of range")
-    X = _design_rows(model, covariates, time_index)
-    out, *_ = _forward(model.weights, model.biases, model.config.activation, X)
-    return float(out[0]) if np.asarray(covariates).ndim == 1 else out
-
-
-def predict_marginal(model: MlpModel, covariates, upto_index: int):
-    """Predicted P(T > t_{upto_index + 1}): product of conditionals 0..upto_index."""
-    if not 0 <= upto_index < model.n_intervals:
-        raise DataError("upto_index out of range")
-    value = 1.0
-    for j in range(upto_index + 1):
-        value = value * predict_conditional(model, covariates, j)
-    return value
-
-
 def predict_conditional_matrix(model: MlpModel, covariates) -> np.ndarray:
     """Conditional survival for every interval: shape (n, J)."""
     z = np.atleast_2d(np.asarray(covariates, dtype=float))
-    out = np.empty((z.shape[0], model.n_intervals))
-    for j in range(model.n_intervals):
-        X = _design_rows(model, z, j)
-        vals, *_ = _forward(model.weights, model.biases, model.config.activation, X)
-        out[:, j] = vals
+    if z.shape[1] != model.p:
+        raise DataError(f"expected {model.p} covariates, got {z.shape[1]}")
+    n, p, J = z.shape[0], model.p, model.n_intervals
+    # standardized covariates, then the one-hot of the interval being predicted
+    X = np.hstack([(z - model.covariate_mean) / model.covariate_std, np.zeros((n, J))])
+    out = np.empty((n, J))
+    for j in range(J):
+        X[:, p:] = 0.0
+        X[:, p + j] = 1.0
+        out[:, j] = _forward(model.weights, model.biases, model.config.activation, X)[0]
     return out
 
 
@@ -353,16 +326,16 @@ def predict_survival_curve(model: MlpModel, covariates) -> StepSurvivalCurve:
     return StepSurvivalCurve(model.cutpoints, marg, 1.0)
 
 
-def _survival_at_times(model: MlpModel, covariates, eval_times) -> np.ndarray:
-    """Step-curve evaluation of predicted marginal survival at arbitrary times."""
+def predict_survival(model: MlpModel, covariates, eval_times) -> np.ndarray:
+    """Predicted marginal survival at arbitrary times: shape (n, len(eval_times)).
+
+    The step curve through the cutpoints: 1 before the first cutpoint, then
+    the marginal survival at the latest cutpoint at or before each time.
+    """
     marg = predict_marginal_matrix(model, covariates)
     t = np.atleast_1d(np.asarray(eval_times, dtype=float))
     idx = np.searchsorted(model.cutpoints, t, side="right") - 1
-    out = np.ones((marg.shape[0], t.size))
-    for h in range(t.size):
-        if idx[h] >= 0:
-            out[:, h] = marg[:, idx[h]]
-    return out
+    return np.where(idx >= 0, marg[:, np.maximum(idx, 0)], 1.0)
 
 
 def make_cv_folds(subjects: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -396,7 +369,7 @@ def _score_config(config_idx: int) -> tuple[int, float]:
         train_table = ctx["table"].subset_subjects(np.setdiff1d(ctx["subjects"], held))
         model = train(train_table, replace(config, seed=unit_seed))
         held_data = ctx["data"].subset(held)
-        pred = _survival_at_times(model, held_data.covariates, ctx["times"])
+        pred = predict_survival(model, held_data.covariates, ctx["times"])
         values, _ = c_index(held_data, pred, ctx["times"])
         score = float(np.nanmean(values)) if not np.all(np.isnan(values)) else -np.inf
         fold_scores.append(score)
@@ -474,6 +447,33 @@ def grid_search(
     if return_scores:
         return final_config, model, scores
     return final_config, model
+
+
+def fit_and_evaluate(
+    train_data: Dataset,
+    test_data: Dataset,
+    grid: TimeGrid,
+    configs: Sequence[MlpConfig],
+    *,
+    weights: WeightFunction | None = None,
+    k: int,
+    budget: int,
+    seed: int,
+    n_jobs: int = 1,
+) -> tuple[MlpModel, EvalReport]:
+    """The whole pipeline: pseudo values, search and refit, then test scores.
+
+    Builds the pseudo-value table of ``train_data`` on ``grid`` (IPCW when
+    ``weights`` is given), selects and retrains a network with
+    :func:`grid_search`, and scores its predicted survival on ``test_data``
+    at the grid cutpoints.
+    """
+    table = pseudo_conditional(train_data, grid, weights)
+    _, model = grid_search(
+        table, train_data, configs, k=k, eval_times=grid, budget=budget, seed=seed, n_jobs=n_jobs
+    )
+    pred = predict_survival(model, test_data.covariates, grid.cutpoints)
+    return model, evaluate_predictions(test_data, pred, grid.cutpoints)
 
 
 def save_model(model: MlpModel, path) -> None:

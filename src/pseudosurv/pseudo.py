@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,17 +61,6 @@ class TimeGrid:
 
     def interval_end(self, j: int) -> float:
         return float(self.cutpoints[j])
-
-
-@dataclass(frozen=True)
-class PseudoRow:
-    """One (subject, interval) training row."""
-
-    subject_id: int
-    covariates: np.ndarray
-    time_index: int
-    time_indicator: np.ndarray
-    pseudo_value: float
 
 
 @dataclass(frozen=True)
@@ -126,17 +115,6 @@ class PseudoTable:
         onehot = np.zeros((len(self), self.n_intervals))
         onehot[np.arange(len(self)), self.time_index] = 1.0
         return onehot
-
-    def rows(self) -> Iterator[PseudoRow]:
-        onehot = self.time_indicators
-        for k in range(len(self)):
-            yield PseudoRow(
-                int(self.subject_ids[k]),
-                self.covariates[k],
-                int(self.time_index[k]),
-                onehot[k],
-                float(self.pseudo[k]),
-            )
 
     def subjects(self) -> np.ndarray:
         return np.unique(self.subject_ids)

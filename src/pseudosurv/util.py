@@ -7,6 +7,17 @@ import zlib
 import numpy as np
 
 
+def _seed_keys(seed: int, tags) -> list[int]:
+    """The base seed plus one 32-bit key per tag; strings go through crc32."""
+    keys = [int(seed) & 0xFFFFFFFF]
+    for tag in tags:
+        if isinstance(tag, str):
+            keys.append(zlib.crc32(tag.encode("utf-8")))
+        else:
+            keys.append(int(tag) & 0xFFFFFFFF)
+    return keys
+
+
 def derived_rng(seed: int, *tags) -> np.random.Generator:
     """Build a Generator from a base seed plus a tag path.
 
@@ -15,24 +26,12 @@ def derived_rng(seed: int, *tags) -> np.random.Generator:
     that derive their RNG this way give identical results regardless of
     execution order or parallelism.
     """
-    keys = [int(seed) & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            keys.append(zlib.crc32(tag.encode("utf-8")))
-        else:
-            keys.append(int(tag) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(keys))
+    return np.random.default_rng(np.random.SeedSequence(_seed_keys(seed, tags)))
 
 
 def derived_seed(seed: int, *tags) -> int:
     """A plain integer seed derived like :func:`derived_rng`."""
-    keys = [int(seed) & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            keys.append(zlib.crc32(tag.encode("utf-8")))
-        else:
-            keys.append(int(tag) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(keys).generate_state(1)[0])
+    return int(np.random.SeedSequence(_seed_keys(seed, tags)).generate_state(1)[0])
 
 
 def fmt6(x) -> str:

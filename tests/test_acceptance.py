@@ -12,7 +12,7 @@ import pytest
 
 import pseudosurv as ps
 from pseudosurv.cli import main as cli_main
-from pseudosurv.net import _loss_and_grads, _survival_at_times
+from pseudosurv.net import _loss_and_grads
 from pseudosurv.util import derived_seed
 
 
@@ -43,20 +43,17 @@ def _search_grid(epochs=100):
 def _fit_and_score(train_data, test_data, levels, seed, budget_grid, k=5):
     """Grid-search the regressor on one replicate and score it beside Cox."""
     grid = ps.make_grid(train_data, percentiles=levels)
-    table = ps.pseudo_conditional(train_data, grid)
-    _, model = ps.grid_search(
-        table, train_data, budget_grid, k=k, eval_times=grid,
-        budget=len(budget_grid), seed=seed,
+    _, report_net = ps.fit_and_evaluate(
+        train_data, test_data, grid, budget_grid, k=k, budget=len(budget_grid), seed=seed
     )
-    pred_net = _survival_at_times(model, test_data.covariates, grid.cutpoints)
-    report_net = ps.evaluate_predictions(test_data, pred_net, grid.cutpoints)
+    return report_net, _cox_report(train_data, test_data, grid)
 
+
+def _cox_report(train_data, test_data, grid):
+    """The linear Cox baseline scored at the grid cutpoints."""
     cox = ps.fit_cox(train_data, target="event")
-    pred_cox = np.column_stack(
-        [ps.cox_predict_survival(cox, test_data.covariates, t) for t in grid.cutpoints]
-    )
-    report_cox = ps.evaluate_predictions(test_data, pred_cox, grid.cutpoints)
-    return report_net, report_cox
+    pred = ps.cox_predict_survival(cox, test_data.covariates, grid.cutpoints)
+    return ps.evaluate_predictions(test_data, pred, grid.cutpoints)
 
 
 @pytest.fixture(scope="session")
@@ -90,24 +87,14 @@ def dependent_censoring_study():
             ps.CoxSimSpec(n=2000, dependent_censoring=True, seed=derived_seed(2000, "te", rep))
         )
         grid = ps.make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
-        reports = {}
-        for label, ipcw in (("plain", False), ("ipcw", True)):
-            weights = None
-            if ipcw:
-                censor_model = ps.fit_cox(train_data, target="censoring")
-                weights = ps.censoring_weights(train_data, censor_model, cap=20.0)
-            table = ps.pseudo_conditional(train_data, grid, weights)
-            _, model = ps.grid_search(
-                table, train_data, grid_cfgs, k=3, eval_times=grid,
-                budget=len(grid_cfgs), seed=300 + rep,
+        censor_model = ps.fit_cox(train_data, target="censoring")
+        ipcw = ps.censoring_weights(train_data, censor_model, cap=20.0)
+        reports = {"cox": _cox_report(train_data, test_data, grid)}
+        for label, weights in (("plain", None), ("ipcw", ipcw)):
+            _, reports[label] = ps.fit_and_evaluate(
+                train_data, test_data, grid, grid_cfgs, weights=weights,
+                k=3, budget=len(grid_cfgs), seed=300 + rep,
             )
-            pred = _survival_at_times(model, test_data.covariates, grid.cutpoints)
-            reports[label] = ps.evaluate_predictions(test_data, pred, grid.cutpoints)
-        cox = ps.fit_cox(train_data, target="event")
-        pred_cox = np.column_stack(
-            [ps.cox_predict_survival(cox, test_data.covariates, t) for t in grid.cutpoints]
-        )
-        reports["cox"] = ps.evaluate_predictions(test_data, pred_cox, grid.cutpoints)
         out.append(reports)
     return out
 

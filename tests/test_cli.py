@@ -190,6 +190,40 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_evaluate_predictions_matched_by_id(self, tmp_path, sim_csv):
+        data = load_dataset(sim_csv)
+        times = np.quantile(data.time, [0.3, 0.6])
+        risk = np.exp(-data.covariates[:, 0])
+        header = ["id"] + [f"{t:.12g}" for t in times]
+        rows = [[str(i)] + [f"{np.exp(-risk[i] * t / 5):.6g}" for t in times]
+                for i in range(len(data))]
+        reports = []
+        for name, order in (("in_order", rows), ("reversed", rows[::-1])):
+            pred_path = tmp_path / f"{name}.csv"
+            write_csv(pred_path, [header] + order)
+            out = tmp_path / f"{name}_eval.csv"
+            code = main(["evaluate", "--input", str(sim_csv), "--predictions", str(pred_path),
+                         "--output", str(out)])
+            assert code == 0
+            reports.append(out.read_bytes() + (tmp_path / f"{name}_eval.csv.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(["0", "1", "1"], "predictions row 3: duplicate id 1"),
+         (["0", "2", "3"], "predictions row 3: id 3 is not in 0..2"),
+         (["0", "1.0", "2"], "predictions row 2: id '1.0' is not an integer")],
+    )
+    def test_evaluate_bad_prediction_ids_exit_2(self, tmp_path, capsys, ids, message):
+        src = tmp_path / "d.csv"
+        write_csv(src, [["time", "event"], ["1", "1"], ["2", "0"], ["3", "1"]])
+        pred_path = tmp_path / "pred.csv"
+        write_csv(pred_path, [["id", "1.5"]] + [[i, "0.5"] for i in ids])
+        code = main(["evaluate", "--input", str(src), "--predictions", str(pred_path),
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_evaluate_needs_exactly_one_source(self, tmp_path, sim_csv):
         out = tmp_path / "r.csv"
         assert main(["evaluate", "--input", str(sim_csv), "--output", str(out)]) == 2
@@ -246,6 +280,27 @@ class TestSimulate:
         values = dict(zip(rows[0], rows[1]))
         assert 0.0 <= float(values["c_index_net"]) <= 1.0
         assert float(values["brier_cox"]) >= 0.0
+
+    def test_cox_with_net_identical_across_thread_counts(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"study_{threads}"
+            code = main([
+                "simulate", "--study", "cox-independent", "--with-net", "--replicates", "2",
+                "--n", "300", "--budget", "1", "--folds", "2", "--epochs", "2", "--seed", "1",
+                "--out", str(out_dir), "--threads", threads,
+            ])
+            assert code == 0
+            outputs.append(
+                (out_dir / "replicates.csv").read_bytes() + (out_dir / "summary.csv").read_bytes()
+            )
+        assert outputs[0] == outputs[1]
+        with open(tmp_path / "study_1" / "replicates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            for label in ("net", "net_ipcw", "cox"):
+                assert 0.0 <= float(row[f"c_index_{label}"]) <= 1.0
 
     def test_emit_data_writes_sidecar(self, tmp_path):
         out_dir = tmp_path / "study"

@@ -9,7 +9,6 @@ from pseudosurv import (
     StepSurvivalCurve,
     WeightFunction,
     censoring_kaplan_meier,
-    curve_eval,
     ipcw_survival,
     kaplan_meier,
     nelson_aalen,
@@ -79,20 +78,20 @@ class TestKaplanMeier:
 class TestCurveEval:
     def test_before_first_jump(self):
         c = StepSurvivalCurve(np.array([2.0]), np.array([0.5]), 1.0)
-        assert curve_eval(c, 1.9) == 1.0
+        assert c.at(1.9) == 1.0
 
     def test_right_continuity_at_jump(self):
         c = StepSurvivalCurve(np.array([2.0]), np.array([0.5]), 1.0)
-        assert curve_eval(c, 2.0) == 0.5
+        assert c.at(2.0) == 0.5
 
     def test_past_last_jump(self):
         c = StepSurvivalCurve(np.array([2.0, 3.0]), np.array([0.5, 0.25]), 1.0)
-        assert curve_eval(c, 10.0) == 0.25
+        assert c.at(10.0) == 0.25
 
     def test_negative_time_rejected(self):
         c = StepSurvivalCurve(np.array([2.0]), np.array([0.5]), 1.0)
         with pytest.raises(DataError):
-            curve_eval(c, -0.1)
+            c.at(-0.1)
 
     def test_left_limit(self):
         c = StepSurvivalCurve(np.array([2.0]), np.array([0.5]), 1.0)
@@ -101,7 +100,7 @@ class TestCurveEval:
 
     def test_vector_evaluation(self):
         c = StepSurvivalCurve(np.array([1.0, 2.0]), np.array([0.8, 0.6]), 1.0)
-        out = curve_eval(c, np.array([0.5, 1.0, 5.0]))
+        out = c.at(np.array([0.5, 1.0, 5.0]))
         assert np.array_equal(out, [1.0, 0.8, 0.6])
 
     def test_unsorted_times_rejected(self):

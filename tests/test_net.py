@@ -16,10 +16,9 @@ from pseudosurv import (
     grid_search,
     load_model,
     make_grid,
-    predict_conditional,
     predict_conditional_matrix,
-    predict_marginal,
     predict_marginal_matrix,
+    predict_survival,
     pseudo_conditional,
     save_model,
     train,
@@ -199,23 +198,23 @@ class TestPrediction:
         model = self._handmade_model([0.5, 0.5, 0.5])
         for w in model.weights:
             w[:] = 0.0
-        assert predict_conditional(model, np.empty(0), 1) == 0.5
+        assert predict_conditional_matrix(model, np.empty(0))[0, 1] == 0.5
 
     def test_output_bias_ten(self):
         model = self._handmade_model([0.5, 0.5, 0.5])
         for w in model.weights:
             w[:] = 0.0
         model.biases[-1][0] = 10.0
-        assert predict_conditional(model, np.empty(0), 0) == pytest.approx(
+        assert predict_conditional_matrix(model, np.empty(0))[0, 0] == pytest.approx(
             1 / (1 + np.exp(-10.0)), abs=1e-12
         )
 
     def test_marginal_is_product(self):
         model = self._handmade_model([0.9, 0.8, 0.7])
-        assert predict_marginal(model, np.empty(0), 0) == pytest.approx(
-            predict_conditional(model, np.empty(0), 0), abs=1e-12
-        )
-        assert predict_marginal(model, np.empty(0), 2) == pytest.approx(0.504, abs=1e-9)
+        cond = predict_conditional_matrix(model, np.empty(0))[0]
+        marg = predict_marginal_matrix(model, np.empty(0))[0]
+        assert marg[0] == pytest.approx(cond[0], abs=1e-12)
+        assert marg[2] == pytest.approx(0.504, abs=1e-9)
 
     def test_marginal_nonincreasing(self, rng):
         table = toy_table(rng)
@@ -223,12 +222,28 @@ class TestPrediction:
         marg = predict_marginal_matrix(model, rng.standard_normal((10, 2)))
         assert np.all(np.diff(marg, axis=1) <= 1e-15)
 
-    def test_time_index_validated(self, rng):
+    def test_survival_at_times_is_step_curve(self):
+        model = self._handmade_model([0.9, 0.8, 0.7])  # cutpoints 1, 2, 3
+        out = predict_survival(model, np.empty(0), [0.5, 1.0, 1.5, 2.0, 10.0])
+        assert out.shape == (1, 5)
+        assert out[0] == pytest.approx([1.0, 0.9, 0.9, 0.72, 0.504], abs=1e-9)
+
+    def test_survival_at_times_matches_per_horizon_columns(self, rng):
+        model = train(toy_table(rng), small_config(epochs=5))
+        z = rng.standard_normal((30, 2))
+        times = np.array([0.0, 0.5, 1.0, 2.5, 3.0, 7.0])
+        marg = predict_marginal_matrix(model, z)
+        expected = np.ones((30, times.size))
+        for h, t in enumerate(times):
+            idx = np.searchsorted(model.cutpoints, t, side="right") - 1
+            if idx >= 0:
+                expected[:, h] = marg[:, idx]
+        assert np.array_equal(predict_survival(model, z, times), expected)
+
+    def test_covariate_count_validated(self):
         model = self._handmade_model([0.9, 0.8, 0.7])
-        with pytest.raises(DataError):
-            predict_conditional(model, np.empty(0), 3)
-        with pytest.raises(DataError):
-            predict_marginal(model, np.empty(0), -1)
+        with pytest.raises(DataError, match="expected 0 covariates"):
+            predict_conditional_matrix(model, np.ones((2, 1)))
 
     def test_monotone_in_covariate_on_ph_design(self):
         data = gen_cox(CoxSimSpec(n=800, dependent_censoring=True, seed=42))

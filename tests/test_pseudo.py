@@ -300,12 +300,12 @@ class TestPseudoTableSerialization:
         assert sum(onehot) == 1
         assert onehot[table.time_index[0]] == 1
 
-    def test_rows_iterator_one_hot(self, rng):
+    def test_time_indicators_one_hot(self, rng):
         d = random_censored_dataset(rng, 20, p=1)
         grid = make_grid(d, percentiles=[0.4])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             table = pseudo_conditional(d, grid)
-        for row in table.rows():
-            assert row.time_indicator.sum() == 1.0
-            assert row.time_indicator[row.time_index] == 1.0
+        for indicator, j in zip(table.time_indicators, table.time_index):
+            assert indicator.sum() == 1.0
+            assert indicator[j] == 1.0
