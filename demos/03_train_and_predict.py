@@ -40,7 +40,7 @@ for i in range(3):
     cells = "  ".join(f"{v:9.3f}" for v in marginal[i])
     print(f"{i:7d}  {cells}")
 
-curve = ps.predict_survival_curve(model, test_data.covariates[0])
 t_half = float(grid.cutpoints[-1]) * 0.5
+s_half = ps.predict_survival(model, test_data.covariates[:1], [t_half])[0, 0]
 print()
-print(f"subject 0 as a step curve: S({t_half:.2f}) = {curve.at(t_half):.3f}")
+print(f"subject 0 as a step curve: S({t_half:.2f}) = {s_half:.3f}")

@@ -9,7 +9,7 @@ scores.  Includes the synthetic designs used to validate the pipeline.
 
 __version__ = "0.1.0"
 
-from .baselines import GeeModel, cox_predict_survival, fit_gee, gee_predict_survival
+from .baselines import GeeModel, cox_predict_survival, fit_gee
 from .cox import CoxModel, censoring_weights, fit_cox
 from .data import (
     Dataset,
@@ -24,7 +24,6 @@ from .estimators import (
     censoring_kaplan_meier,
     ipcw_survival,
     kaplan_meier,
-    nelson_aalen,
     nelson_aalen_weighted,
 )
 from .metrics import EvalReport, brier, c_index, evaluate_predictions
@@ -38,7 +37,6 @@ from .net import (
     predict_conditional_matrix,
     predict_marginal_matrix,
     predict_survival,
-    predict_survival_curve,
     save_model,
     train,
 )
@@ -48,7 +46,6 @@ from .pseudo import (
     make_grid,
     pseudo_conditional,
     pseudo_marginal,
-    pseudo_marginal_naive,
 )
 from .sim import (
     CoxSimSpec,
@@ -86,7 +83,6 @@ __all__ = [
     "fit_and_evaluate",
     "fit_cox",
     "fit_gee",
-    "gee_predict_survival",
     "gen_cox",
     "gen_friedman_aft",
     "grid_search",
@@ -95,15 +91,12 @@ __all__ = [
     "load_dataset",
     "load_model",
     "make_grid",
-    "nelson_aalen",
     "nelson_aalen_weighted",
     "predict_conditional_matrix",
     "predict_marginal_matrix",
     "predict_survival",
-    "predict_survival_curve",
     "pseudo_conditional",
     "pseudo_marginal",
-    "pseudo_marginal_naive",
     "save_dataset",
     "save_model",
     "split_dataset",

@@ -89,13 +89,14 @@ def fit_gee(
         r = y - _cloglog_mean(X @ t)
         return float(r @ r)
 
+    def linearize(t):
+        eta = X @ t
+        dmu = -np.exp(eta - np.exp(eta))
+        return dmu[:, None] * X, y - _cloglog_mean(eta)
+
     current = sse(theta)
     for _ in range(max_iter):
-        eta = X @ theta
-        mu = _cloglog_mean(eta)
-        dmu = -np.exp(eta - np.exp(eta))
-        jac = dmu[:, None] * X
-        resid = y - mu
+        jac, resid = linearize(theta)
         delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
         scale = 1.0
         for _ in range(40):
@@ -109,12 +110,13 @@ def fit_gee(
         current = candidate
         if np.max(np.abs(scale * delta)) <= tol:
             return GeeModel(theta[:J], theta[J:], cuts)
+    # On a large-residual fit Gauss-Newton can creep linearly with steps far
+    # above ``tol``.  Accept the last iterate where the score J'r is flat by
+    # the relative-gradient test of Dennis & Schnabel (1983, sec. 7.2):
+    # max |g_i| max(|theta_i|, 1) / max(f, 1) <= eps**(1/3), f = SSE / 2.
+    jac, resid = linearize(theta)
+    relgrad = np.abs(jac.T @ resid) * np.maximum(np.abs(theta), 1.0) / max(current / 2, 1.0)
+    if relgrad.max() <= np.finfo(float).eps ** (1 / 3):
+        return GeeModel(theta[:J], theta[J:], cuts)
     raise NumericError("gee did not converge")
 
-
-def gee_predict_survival(model: GeeModel, covariates, time_index: int) -> float:
-    """exp(-exp(alpha_j + beta . Z)) for one grid time."""
-    if not 0 <= time_index < model.time_intercepts.size:
-        raise DataError("time_index out of range")
-    eta = model.time_intercepts[time_index] + np.asarray(covariates, dtype=float) @ model.beta
-    return float(_cloglog_mean(eta))

@@ -269,14 +269,6 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
     return StepSurvivalCurve(u, np.cumsum(num / den), 0.0)
 
 
-def nelson_aalen(data: Dataset) -> StepSurvivalCurve:
-    """Unweighted Nelson-Aalen cumulative hazard."""
-    if len(data) == 0:
-        raise DataError("empty dataset")
-    u, d, n = _event_table(data.time, data.event)
-    return StepSurvivalCurve(u, np.cumsum(d / n), 0.0)
-
-
 def ipcw_survival(data: Dataset, weights: WeightFunction) -> StepSurvivalCurve:
     """IPCW survival estimate exp(-weighted cumulative hazard)."""
     cumhaz = nelson_aalen_weighted(data, weights)

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericError
-from .estimators import StepSurvivalCurve, WeightFunction
+from .estimators import WeightFunction
 from .metrics import EvalReport, c_index, evaluate_predictions
 from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
 from .util import derived_rng, derived_seed
@@ -146,77 +147,133 @@ class MlpModel:
         return self.covariate_mean.size
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+def _activate(name: str, z: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out) if name == "relu" else np.tanh(z, out=out)
 
 
-def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
-    return (z > 0).astype(float) if name == "relu" else 1.0 - np.tanh(z) ** 2
+def _sigmoid(z: np.ndarray, out: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function into ``out``; ``z`` is overwritten."""
+    np.greater_equal(z, 0.0, out=positive)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)  # e = exp(-|z|)
+    np.add(z, 1.0, out=out)
+    np.copyto(z, 1.0, where=positive)  # 1 / (1 + e) where z >= 0, e / (1 + e) elsewhere
+    return np.divide(z, out, out=out)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _forward(weights, biases, activation, X, dropout_rate=None, rng=None):
-    """Forward pass; returns output, per-layer pre-activations and activations.
-
-    With a dropout rate and generator, inverted dropout is applied to every
-    hidden activation so the expected forward pass matches inference.
-    """
-    acts = [X]
-    zs = []
-    masks = []
+def _forward(weights, biases, activation, X):
+    """Inference pass: the sigmoid output for every row of ``X``."""
     h = X
-    n_hidden = len(weights) - 1
-    for l in range(n_hidden):
-        z = h @ weights[l] + biases[l]
-        h = _activate(activation, z)
-        if dropout_rate:
-            mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            h = h * mask
-            masks.append(mask)
+    for W, b in zip(weights[:-1], biases):
+        h = _activate(activation, h @ W + b)
+    z_out = (h @ weights[-1] + biases[-1])[:, 0]
+    return _sigmoid(z_out, np.empty_like(z_out), np.empty(z_out.shape, dtype=bool))
+
+
+class _Workspace:
+    """Preallocated buffers for training one network shape at one batch size.
+
+    ``theta`` holds every weight matrix, then every bias vector, flat; the
+    weights and biases are reshaped views into it, and the gradients the same
+    views into ``grad``.  ``acts[l]`` is the input of layer l (the batch rows,
+    then each hidden activation after dropout), and each hidden layer has a
+    (batch x width) buffer for its pre-activation ``z``, activation ``a``,
+    dropout mask and upstream gradient.  A batch of m rows uses leading rows.
+    """
+
+    def __init__(self, sizes: Sequence[int], batch: int, dropout: bool):
+        L = len(sizes) - 1
+        shapes = [*zip(sizes[:-1], sizes[1:]), *((b,) for b in sizes[1:])]
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])
+        self.n_weights = int(ends[L - 1])
+        self.theta, self.grad, self.scratch = (np.zeros(ends[-1]) for _ in range(3))
+
+        def views(flat):
+            return [v.reshape(s) for v, s in zip(np.split(flat, ends[:-1]), shapes)]
+
+        self.weights, self.biases = views(self.theta)[:L], views(self.theta)[L:]
+        self.grad_w, self.grad_b = views(self.grad)[:L], views(self.grad)[L:]
+        self.squares = views(self.scratch)[:L]
+
+        def per_layer():
+            return [np.empty((batch, w)) for w in sizes[1:-1]]
+
+        self.z, self.a, self.upstream = per_layer(), per_layer(), per_layer()
+        self.mask = per_layer() if dropout else []
+        self.acts = [np.empty((batch, sizes[0])), *(per_layer() if dropout else self.a)]
+        self.y, self.out, self.err = np.empty(batch), np.empty(batch), np.empty(batch)
+        self.z_out, self.positive = np.empty((batch, 1)), np.empty(batch, dtype=bool)
+
+    def weight_sum_squares(self) -> float:
+        """Sum over weight matrices of their sums of squares (biases excluded)."""
+        np.square(self.theta[: self.n_weights], out=self.scratch[: self.n_weights])
+        return sum(float(sq.sum()) for sq in self.squares)
+
+
+def _batch_loss_and_grads(ws: _Workspace, config: MlpConfig, m: int, rng) -> float:
+    """Objective (MSE + ridge) of the rows ``ws.acts[0][:m]``, ``ws.y[:m]``.
+
+    The gradients go to ``ws.grad``; dropout masks are drawn from ``rng``.
+    """
+    rate = config.dropout_rate
+    for l in range(len(ws.z)):
+        z, a = ws.z[l][:m], ws.a[l][:m]
+        np.matmul(ws.acts[l][:m], ws.weights[l], out=z)
+        z += ws.biases[l]
+        _activate(config.activation, z, out=a)
+        if rate:  # inverted dropout; the uniform draws become the mask in place
+            mask = ws.mask[l][:m]
+            rng.random(out=mask)
+            np.greater_equal(mask, rate, out=mask)
+            mask /= 1.0 - rate
+            np.multiply(a, mask, out=ws.acts[l + 1][:m])
+    h, z_out, out, err = ws.acts[-1][:m], ws.z_out[:m], ws.out[:m], ws.err[:m]
+    np.matmul(h, ws.weights[-1], out=z_out)
+    z_out += ws.biases[-1]
+    _sigmoid(z_out[:, 0], out, ws.positive[:m])
+    np.subtract(out, ws.y[:m], out=err)
+    lam = config.ridge_penalty
+    loss = float(err @ err) / m + lam * ws.weight_sum_squares()
+
+    # delta = (2 / m) * err * out * (1 - out), written over err
+    err *= 2.0 / m
+    err *= out
+    err *= np.subtract(1.0, out, out=z_out[:, 0])
+    delta = err[:, None]
+    np.matmul(h.T, delta, out=ws.grad_w[-1])
+    np.sum(delta, axis=0, out=ws.grad_b[-1])
+    np.matmul(delta, ws.weights[-1].T, out=ws.upstream[-1][:m])
+    for l in range(len(ws.z) - 1, -1, -1):
+        upstream, z = ws.upstream[l][:m], ws.z[l][:m]
+        if rate:
+            upstream *= ws.mask[l][:m]
+        if config.activation == "relu":  # the activation's derivative, written over z
+            np.greater(z, 0.0, out=z)
         else:
-            masks.append(None)
-        zs.append(z)
-        acts.append(h)
-    z_out = h @ weights[-1] + biases[-1]
-    out = _sigmoid(z_out[:, 0])
-    return out, zs, acts, masks
+            np.multiply(ws.a[l][:m], ws.a[l][:m], out=z)
+            np.subtract(1.0, z, out=z)
+        upstream *= z
+        np.matmul(ws.acts[l][:m].T, upstream, out=ws.grad_w[l])
+        np.sum(upstream, axis=0, out=ws.grad_b[l])
+        if l:
+            np.matmul(upstream, ws.weights[l].T, out=ws.upstream[l - 1][:m])
+    ridge = np.multiply(ws.theta[: ws.n_weights], 2.0 * lam, out=ws.scratch[: ws.n_weights])
+    ws.grad[: ws.n_weights] += ridge
+    return loss
 
 
 def _loss_and_grads(weights, biases, config, X, y, dropout_rng=None):
-    """Objective (MSE + ridge) and its gradients for one batch."""
-    rate = config.dropout_rate
-    out, zs, acts, masks = _forward(
-        weights, biases, config.activation, X, dropout_rate=rate, rng=dropout_rng
-    )
-    m = X.shape[0]
-    err = out - y
-    lam = config.ridge_penalty
-    loss = float(err @ err) / m + lam * sum(float((W**2).sum()) for W in weights)
+    """Objective (MSE + ridge) and its gradients for one batch.
 
-    g_w = [np.empty_like(W) for W in weights]
-    g_b = [np.empty_like(b) for b in biases]
-    delta = (2.0 / m) * err * out * (1.0 - out)
-    delta = delta[:, None]
-    g_w[-1] = acts[-1].T @ delta + 2.0 * lam * weights[-1]
-    g_b[-1] = delta.sum(axis=0)
-    upstream = delta @ weights[-1].T
-    for l in range(len(weights) - 2, -1, -1):
-        if masks[l] is not None:
-            upstream = upstream * masks[l]
-        upstream = upstream * _activate_grad(config.activation, zs[l])
-        g_w[l] = acts[l].T @ upstream + 2.0 * lam * weights[l]
-        g_b[l] = upstream.sum(axis=0)
-        if l:
-            upstream = upstream @ weights[l].T
-    return loss, g_w, g_b
+    Runs the training step's kernel on a fresh workspace; the gradients are copies.
+    """
+    sizes = [weights[0].shape[0], *(W.shape[1] for W in weights)]
+    ws = _Workspace(sizes, len(X), bool(config.dropout_rate))
+    for dst, src in zip([*ws.weights, *ws.biases, ws.acts[0], ws.y], [*weights, *biases, X, y]):
+        dst[...] = src
+    loss = _batch_loss_and_grads(ws, config, len(X), dropout_rng)
+    return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
 
 def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
@@ -226,7 +283,8 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     (stored on the model and re-applied at prediction); the one-hot interval
     indicators pass through untouched.  The output bias starts at the logit
     of the clipped mean pseudo value so early epochs are not spent drifting
-    toward the response level.
+    toward the response level.  A non-finite batch loss raises
+    :class:`NumericError` naming the epoch and the batch.
     """
     if len(table) == 0:
         raise DataError("empty pseudo table")
@@ -235,65 +293,75 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     std = np.where(std > 0, std, 1.0)
     X = np.hstack([(table.covariates - mean) / std, table.time_indicators])
     y = table.pseudo
-    n_in = X.shape[1]
+    n_rows, n_in = X.shape
 
     rng = derived_rng(config.seed, "mlp-train")
     sizes = [n_in, *config.hidden_layers, 1]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    ws = _Workspace(sizes, min(config.batch_size, n_rows), bool(config.dropout_rate))
+    for W in ws.weights:
+        limit = np.sqrt(6.0 / sum(W.shape))  # fan in + fan out
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
     mean_target = float(np.clip(y.mean(), 0.01, 0.99))
-    biases[-1][0] = np.log(mean_target / (1.0 - mean_target))
+    ws.biases[-1][0] = np.log(mean_target / (1.0 - mean_target))
 
-    params = weights + biases
+    theta, grad, step = ws.theta, ws.grad, ws.scratch
     if config.optimizer == "adam":
-        m1 = [np.zeros_like(p) for p in params]
-        m2 = [np.zeros_like(p) for p in params]
+        m1, m2, update = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
         step_count = 0
     else:
-        velocity = [np.zeros_like(p) for p in params]
+        velocity = np.zeros_like(theta)
 
-    n_rows = X.shape[0]
     loss_log: list[float] = []
     norm_log: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n_rows)
         epoch_loss = 0.0
-        for lo in range(0, n_rows, config.batch_size):
+        for batch, lo in enumerate(range(0, n_rows, config.batch_size)):
             idx = perm[lo : lo + config.batch_size]
-            loss, g_w, g_b = _loss_and_grads(
-                weights, biases, config, X[idx], y[idx], dropout_rng=rng
-            )
-            epoch_loss += loss * idx.size
-            grads = g_w + g_b
+            m = idx.size
+            # the indices are valid, and mode "clip" writes to out unbuffered
+            np.take(X, idx, axis=0, out=ws.acts[0][:m], mode="clip")
+            np.take(y, idx, out=ws.y[:m], mode="clip")
+            loss = _batch_loss_and_grads(ws, config, m, rng)
+            if not math.isfinite(loss):
+                raise NumericError(f"diverged at epoch {epoch}, batch {batch}")
+            epoch_loss += loss * m
             if config.optimizer == "adam":
                 step_count += 1
                 lr_t = config.learning_rate * (
                     np.sqrt(1.0 - 0.999**step_count) / (1.0 - 0.9**step_count)
                 )
-                for k, g in enumerate(grads):
-                    m1[k] = 0.9 * m1[k] + 0.1 * g
-                    m2[k] = 0.999 * m2[k] + 0.001 * g * g
-                    params[k] -= lr_t * m1[k] / (np.sqrt(m2[k]) + 1e-8)
+                # m1 = 0.9 m1 + 0.1 g;  m2 = 0.999 m2 + 0.001 g g
+                # theta -= lr_t m1 / (sqrt(m2) + 1e-8)
+                m1 *= 0.9
+                m1 += np.multiply(grad, 0.1, out=step)
+                m2 *= 0.999
+                np.multiply(grad, 0.001, out=step)
+                step *= grad
+                m2 += step
+                np.sqrt(m2, out=step)
+                step += 1e-8
+                np.multiply(m1, lr_t, out=update)
+                update /= step
+                theta -= update
             else:
-                for k, g in enumerate(grads):
-                    velocity[k] = 0.9 * velocity[k] - config.learning_rate * g
-                    params[k] += velocity[k]
+                # velocity = 0.9 velocity - lr g;  theta += velocity
+                velocity *= 0.9
+                velocity -= np.multiply(grad, config.learning_rate, out=step)
+                theta += velocity
         epoch_loss /= n_rows
-        if not np.isfinite(epoch_loss):
+        if not math.isfinite(epoch_loss):
             raise NumericError(f"diverged at epoch {epoch}")
         loss_log.append(epoch_loss)
-        norm_log.append(float(np.sqrt(sum((W**2).sum() for W in weights))))
+        norm_log.append(math.sqrt(ws.weight_sum_squares()))
 
     return MlpModel(
         config=config,
         cutpoints=np.asarray(table.grid.cutpoints, dtype=float),
         covariate_mean=mean,
         covariate_std=std,
-        weights=weights,
-        biases=biases,
+        weights=[W.copy() for W in ws.weights],
+        biases=[b.copy() for b in ws.biases],
         training_log=loss_log,
         weight_norm_log=norm_log,
     )
@@ -311,19 +379,13 @@ def predict_conditional_matrix(model: MlpModel, covariates) -> np.ndarray:
     for j in range(J):
         X[:, p:] = 0.0
         X[:, p + j] = 1.0
-        out[:, j] = _forward(model.weights, model.biases, model.config.activation, X)[0]
+        out[:, j] = _forward(model.weights, model.biases, model.config.activation, X)
     return out
 
 
 def predict_marginal_matrix(model: MlpModel, covariates) -> np.ndarray:
     """Marginal survival at every cutpoint: cumulative product over intervals."""
     return np.cumprod(predict_conditional_matrix(model, covariates), axis=1)
-
-
-def predict_survival_curve(model: MlpModel, covariates) -> StepSurvivalCurve:
-    """One subject's predicted marginal survival as a step curve."""
-    marg = predict_marginal_matrix(model, np.atleast_2d(covariates))[0]
-    return StepSurvivalCurve(model.cutpoints, marg, 1.0)
 
 
 def predict_survival(model: MlpModel, covariates, eval_times) -> np.ndarray:
@@ -367,7 +429,10 @@ def _score_config(config_idx: int) -> tuple[int, float]:
     for fold, held in enumerate(ctx["folds"]):
         unit_seed = derived_seed(ctx["seed"], config.content_key(), fold)
         train_table = ctx["table"].subset_subjects(np.setdiff1d(ctx["subjects"], held))
-        model = train(train_table, replace(config, seed=unit_seed))
+        try:
+            model = train(train_table, replace(config, seed=unit_seed))
+        except NumericError as exc:
+            raise NumericError(f"config {config.content_key()}, fold {fold}: {exc}") from exc
         held_data = ctx["data"].subset(held)
         pred = predict_survival(model, held_data.covariates, ctx["times"])
         values, _ = c_index(held_data, pred, ctx["times"])
@@ -480,16 +545,7 @@ def save_model(model: MlpModel, path) -> None:
     """Persist a model as versioned JSON (full float precision)."""
     payload = {
         "format_version": 1,
-        "config": {
-            "hidden_layers": list(model.config.hidden_layers),
-            "activation": model.config.activation,
-            "regularization": [model.config.regularization[0], model.config.regularization[1]],
-            "learning_rate": model.config.learning_rate,
-            "optimizer": model.config.optimizer,
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "cutpoints": model.cutpoints.tolist(),
         "covariate_mean": model.covariate_mean.tolist(),
         "covariate_std": model.covariate_std.tolist(),
@@ -509,17 +565,7 @@ def load_model(path) -> MlpModel:
     version = payload.get("format_version")
     if version != 1:
         raise DataError(f"unsupported model format version: {version!r}")
-    cfg = payload["config"]
-    config = MlpConfig(
-        hidden_layers=tuple(cfg["hidden_layers"]),
-        activation=cfg["activation"],
-        regularization=(cfg["regularization"][0], cfg["regularization"][1]),
-        learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-    )
+    config = MlpConfig(**{f.name: payload["config"][f.name] for f in fields(MlpConfig)})
     return MlpModel(
         config=config,
         cutpoints=np.asarray(payload["cutpoints"], dtype=float),

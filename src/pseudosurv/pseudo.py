@@ -21,14 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .estimators import (
-    WeightFunction,
-    _blocks,
-    _event_table,
-    _ipcw_sums,
-    ipcw_survival,
-    kaplan_meier,
-)
+from .estimators import WeightFunction, _blocks, _event_table, _ipcw_sums
 
 
 @dataclass(frozen=True)
@@ -295,32 +288,6 @@ def pseudo_marginal(data: Dataset, t: float, weights: WeightFunction | None = No
         raise DataError("weight function does not match dataset size")
     values, _, _ = _loo_pseudo(data.time, data.event, t, weights)
     return values
-
-
-def pseudo_marginal_naive(
-    data: Dataset, t: float, weights: WeightFunction | None = None
-) -> np.ndarray:
-    """Reference implementation that refits the estimator n times (O(n^2)).
-
-    Kept as the verification oracle for the incremental leave-one-out path.
-    """
-    if len(data) < 2:
-        raise DataError("pseudo values need at least two subjects")
-    n = len(data)
-    if weights is None:
-        s_full = kaplan_meier(data).at(t)
-    else:
-        s_full = ipcw_survival(data, weights).at(t)
-    out = np.empty(n)
-    for i in range(n):
-        keep = np.arange(n) != i
-        rest = data.subset(keep)
-        if weights is None:
-            s_loo = kaplan_meier(rest).at(t)
-        else:
-            s_loo = ipcw_survival(rest, weights.subset(keep)).at(t)
-        out[i] = n * s_full - (n - 1) * s_loo
-    return out
 
 
 def pseudo_conditional(

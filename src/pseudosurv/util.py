@@ -36,9 +36,7 @@ def derived_seed(seed: int, *tags) -> int:
 
 def fmt6(x) -> str:
     """Format one number at 6 significant digits for CSV output."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(x))
     x = float(x)
     if np.isnan(x):

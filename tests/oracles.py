@@ -1,0 +1,214 @@
+"""Reference implementations that the fast library paths are tested against.
+
+``train`` and ``_loss_and_grads`` are the training step as it was before it
+ran on preallocated buffers: the straightforward allocating form, kept as a
+byte oracle, since the buffered step must produce the same floats in the same
+order.  ``pseudo_marginal_naive`` refits the estimator once per subject and
+``nelson_aalen`` is the unweighted cumulative hazard.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pseudosurv import (
+    DataError,
+    Dataset,
+    MlpConfig,
+    MlpModel,
+    NumericError,
+    PseudoTable,
+    StepSurvivalCurve,
+    WeightFunction,
+    ipcw_survival,
+    kaplan_meier,
+)
+from pseudosurv.estimators import _event_table
+from pseudosurv.util import derived_rng
+
+
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+
+
+def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
+    return (z > 0).astype(float) if name == "relu" else 1.0 - np.tanh(z) ** 2
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _forward(weights, biases, activation, X, dropout_rate=None, rng=None):
+    """Forward pass; returns output, per-layer pre-activations and activations.
+
+    With a dropout rate and generator, inverted dropout is applied to every
+    hidden activation so the expected forward pass matches inference.
+    """
+    acts = [X]
+    zs = []
+    masks = []
+    h = X
+    n_hidden = len(weights) - 1
+    for l in range(n_hidden):
+        z = h @ weights[l] + biases[l]
+        h = _activate(activation, z)
+        if dropout_rate:
+            mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
+            h = h * mask
+            masks.append(mask)
+        else:
+            masks.append(None)
+        zs.append(z)
+        acts.append(h)
+    z_out = h @ weights[-1] + biases[-1]
+    out = _sigmoid(z_out[:, 0])
+    return out, zs, acts, masks
+
+
+def _loss_and_grads(weights, biases, config, X, y, dropout_rng=None):
+    """Objective (MSE + ridge) and its gradients for one batch."""
+    rate = config.dropout_rate
+    out, zs, acts, masks = _forward(
+        weights, biases, config.activation, X, dropout_rate=rate, rng=dropout_rng
+    )
+    m = X.shape[0]
+    err = out - y
+    lam = config.ridge_penalty
+    loss = float(err @ err) / m + lam * sum(float((W**2).sum()) for W in weights)
+
+    g_w = [np.empty_like(W) for W in weights]
+    g_b = [np.empty_like(b) for b in biases]
+    delta = (2.0 / m) * err * out * (1.0 - out)
+    delta = delta[:, None]
+    g_w[-1] = acts[-1].T @ delta + 2.0 * lam * weights[-1]
+    g_b[-1] = delta.sum(axis=0)
+    upstream = delta @ weights[-1].T
+    for l in range(len(weights) - 2, -1, -1):
+        if masks[l] is not None:
+            upstream = upstream * masks[l]
+        upstream = upstream * _activate_grad(config.activation, zs[l])
+        g_w[l] = acts[l].T @ upstream + 2.0 * lam * weights[l]
+        g_b[l] = upstream.sum(axis=0)
+        if l:
+            upstream = upstream @ weights[l].T
+    return loss, g_w, g_b
+
+
+def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
+    """Train the regressor on a pseudo-value table by mini-batch gradient descent.
+
+    Covariates are z-scored with the table's mean and standard deviation
+    (stored on the model and re-applied at prediction); the one-hot interval
+    indicators pass through untouched.  The output bias starts at the logit
+    of the clipped mean pseudo value so early epochs are not spent drifting
+    toward the response level.
+    """
+    if len(table) == 0:
+        raise DataError("empty pseudo table")
+    mean = table.covariates.mean(axis=0)
+    std = table.covariates.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    X = np.hstack([(table.covariates - mean) / std, table.time_indicators])
+    y = table.pseudo
+    n_in = X.shape[1]
+
+    rng = derived_rng(config.seed, "mlp-train")
+    sizes = [n_in, *config.hidden_layers, 1]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    mean_target = float(np.clip(y.mean(), 0.01, 0.99))
+    biases[-1][0] = np.log(mean_target / (1.0 - mean_target))
+
+    params = weights + biases
+    if config.optimizer == "adam":
+        m1 = [np.zeros_like(p) for p in params]
+        m2 = [np.zeros_like(p) for p in params]
+        step_count = 0
+    else:
+        velocity = [np.zeros_like(p) for p in params]
+
+    n_rows = X.shape[0]
+    loss_log: list[float] = []
+    norm_log: list[float] = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n_rows)
+        epoch_loss = 0.0
+        for lo in range(0, n_rows, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            loss, g_w, g_b = _loss_and_grads(
+                weights, biases, config, X[idx], y[idx], dropout_rng=rng
+            )
+            epoch_loss += loss * idx.size
+            grads = g_w + g_b
+            if config.optimizer == "adam":
+                step_count += 1
+                lr_t = config.learning_rate * (
+                    np.sqrt(1.0 - 0.999**step_count) / (1.0 - 0.9**step_count)
+                )
+                for k, g in enumerate(grads):
+                    m1[k] = 0.9 * m1[k] + 0.1 * g
+                    m2[k] = 0.999 * m2[k] + 0.001 * g * g
+                    params[k] -= lr_t * m1[k] / (np.sqrt(m2[k]) + 1e-8)
+            else:
+                for k, g in enumerate(grads):
+                    velocity[k] = 0.9 * velocity[k] - config.learning_rate * g
+                    params[k] += velocity[k]
+        epoch_loss /= n_rows
+        if not np.isfinite(epoch_loss):
+            raise NumericError(f"diverged at epoch {epoch}")
+        loss_log.append(epoch_loss)
+        norm_log.append(float(np.sqrt(sum((W**2).sum() for W in weights))))
+
+    return MlpModel(
+        config=config,
+        cutpoints=np.asarray(table.grid.cutpoints, dtype=float),
+        covariate_mean=mean,
+        covariate_std=std,
+        weights=weights,
+        biases=biases,
+        training_log=loss_log,
+        weight_norm_log=norm_log,
+    )
+
+
+def pseudo_marginal_naive(
+    data: Dataset, t: float, weights: WeightFunction | None = None
+) -> np.ndarray:
+    """Reference implementation that refits the estimator n times (O(n^2)).
+
+    Kept as the verification oracle for the incremental leave-one-out path.
+    """
+    if len(data) < 2:
+        raise DataError("pseudo values need at least two subjects")
+    n = len(data)
+    if weights is None:
+        s_full = kaplan_meier(data).at(t)
+    else:
+        s_full = ipcw_survival(data, weights).at(t)
+    out = np.empty(n)
+    for i in range(n):
+        keep = np.arange(n) != i
+        rest = data.subset(keep)
+        if weights is None:
+            s_loo = kaplan_meier(rest).at(t)
+        else:
+            s_loo = ipcw_survival(rest, weights.subset(keep)).at(t)
+        out[i] = n * s_full - (n - 1) * s_loo
+    return out
+
+
+def nelson_aalen(data: Dataset) -> StepSurvivalCurve:
+    """Unweighted Nelson-Aalen cumulative hazard."""
+    if len(data) == 0:
+        raise DataError("empty dataset")
+    u, d, n = _event_table(data.time, data.event)
+    return StepSurvivalCurve(u, np.cumsum(d / n), 0.0)

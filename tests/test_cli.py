@@ -262,6 +262,20 @@ class TestSimulate:
         summary = (out_dir / "summary.csv").read_text()
         assert "beta_gee" in summary and "beta_gee_ipcw" in summary
 
+    def test_slowly_converging_gee_is_accepted(self, tmp_path):
+        # replicate 0's IPCW fit creeps with Gauss-Newton steps near 1e-5 for
+        # all 100 iterations; its relative gradient is below eps ** (1/3)
+        out_dir = tmp_path / "study"
+        code = main([
+            "simulate", "--study", "cox-dependent", "--replicates", "2",
+            "--n", "300", "--seed", "10", "--out", str(out_dir), "--threads", "1",
+        ])
+        assert code == 0
+        with open(out_dir / "replicates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(np.isfinite(float(row["beta_gee_ipcw"])) for row in rows)
+
     def test_missing_required_flag(self, tmp_path):
         assert main(["simulate", "--study", "aft"]) == 2
 

@@ -9,11 +9,11 @@ from pseudosurv import (
     censoring_weights,
     fit_cox,
     gen_cox,
-    nelson_aalen,
 )
 from pseudosurv.cox import _partial_loglik
 
 from conftest import random_censored_dataset
+from oracles import nelson_aalen
 
 
 def _sorted_inputs(data, target="event"):

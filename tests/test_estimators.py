@@ -11,11 +11,11 @@ from pseudosurv import (
     censoring_kaplan_meier,
     ipcw_survival,
     kaplan_meier,
-    nelson_aalen,
     nelson_aalen_weighted,
 )
 
 from conftest import random_censored_dataset
+from oracles import nelson_aalen
 
 
 def simple(times, events):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from pseudosurv import (
@@ -24,6 +26,8 @@ from pseudosurv import (
     train,
 )
 from pseudosurv.net import MlpModel, _loss_and_grads, default_grid, make_cv_folds
+
+import oracles
 
 
 def toy_table(rng, n=80, J=3, p=2, pseudo=None):
@@ -139,6 +143,59 @@ class TestTraining:
             checked += 1
         assert checked >= 20
 
+    def test_gradient_check_with_dropout(self):
+        # a fresh generator per call draws the same masks, so the objective is
+        # a fixed smooth function of the weights
+        rng = np.random.default_rng(5)
+        config = small_config(hidden_layers=(16, 8), activation="tanh",
+                              regularization=("dropout", 0.4))
+        sizes = [6, 16, 8, 1]
+        weights = [rng.standard_normal((a, b)) * 0.4 for a, b in zip(sizes[:-1], sizes[1:])]
+        biases = [rng.standard_normal(b) * 0.1 for b in sizes[1:]]
+        X = rng.standard_normal((20, 6))
+        y = rng.random(20) * 1.4 - 0.2
+
+        def objective():
+            return _loss_and_grads(weights, biases, config, X, y, np.random.default_rng(9))
+
+        _, g_w, g_b = objective()
+        h = 1e-6
+        for params, grads in ((weights, g_w), (biases, g_b)):
+            for flat, grad in zip(params, grads):
+                flat, grad = flat.reshape(-1), grad.reshape(-1)
+                for pos in range(0, flat.size, max(1, flat.size // 5)):
+                    orig = flat[pos]
+                    flat[pos] = orig + h
+                    up = objective()[0]
+                    flat[pos] = orig - h
+                    down = objective()[0]
+                    flat[pos] = orig
+                    fd = (up - down) / (2 * h)
+                    assert abs(grad[pos] - fd) / max(abs(fd), 1e-10) <= 1e-5
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        regularization=st.sampled_from([("dropout", 0.2), ("dropout", 0.4), ("ridge", 1e-4),
+                                        ("ridge", 1e-2)]),
+        optimizer=st.sampled_from(["adam", "sgd_momentum"]),
+        hidden_layers=st.lists(st.sampled_from([4, 16, 64]), min_size=1, max_size=2),
+        batch_size=st.integers(2, 239).filter(lambda b: 240 % b),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_train_equals_allocating_oracle_bytes(
+        self, activation, regularization, optimizer, hidden_layers, batch_size, seed
+    ):
+        table = toy_table(np.random.default_rng(1), n=80, J=3)  # 240 rows
+        config = MlpConfig(tuple(hidden_layers), activation, regularization, 0.01, optimizer,
+                           epochs=3, batch_size=batch_size, seed=seed)
+        got, want = train(table, config), oracles.train(table, config)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.base is None  # the model owns its arrays
+        assert got.training_log == want.training_log
+        assert got.weight_norm_log == want.weight_norm_log
+
     def test_ridge_shrinks_weights_on_zero_targets(self, rng):
         table = toy_table(rng, n=60, pseudo=0.0)
         config = small_config(
@@ -161,6 +218,19 @@ class TestTraining:
         with pytest.raises(NumericError, match="diverged at epoch"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow is the point
             train(huge, small_config())
+
+    def test_divergence_in_search_names_config_and_fold(self, rng):
+        table = toy_table(rng, n=20)
+        huge = PseudoTable(table.subject_ids, table.covariates, table.time_index,
+                           np.full(len(table), 1e200), table.grid, table.covariate_names)
+        data = Dataset(np.arange(1.0, 21.0), np.ones(20, dtype=bool),
+                       rng.standard_normal((20, 2)), ("z_1", "z_2"))
+        cfg = small_config()
+        message = f"config {cfg.content_key()}, fold 0: diverged at epoch 0, batch 0"
+        with pytest.raises(NumericError) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            grid_search(huge, data, [cfg], k=2, eval_times=table.grid, budget=1, seed=0)
+        assert str(info.value) == message
 
     def test_empty_table_rejected(self, rng):
         table = toy_table(rng, n=4)

@@ -19,12 +19,12 @@ from pseudosurv import (
     make_grid,
     pseudo_conditional,
     pseudo_marginal,
-    pseudo_marginal_naive,
 )
 from pseudosurv import estimators
 from pseudosurv.pseudo import _loo_pseudo
 
 from conftest import random_censored_dataset, uncensored_dataset
+from oracles import pseudo_marginal_naive
 
 
 def simple(times, events, p=0):
