@@ -11,12 +11,10 @@ Exit codes: 0 success, 2 input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,15 @@ import numpy as np
 from . import __version__
 from .baselines import cox_predict_survival, fit_gee
 from .cox import censoring_weights, fit_cox
-from .data import Dataset, _parse_cell, load_dataset, save_dataset, split_dataset
+from .data import (
+    Dataset,
+    load_dataset,
+    load_predictions,
+    save_dataset,
+    split_dataset,
+    write_csv,
+    write_json,
+)
 from .errors import DataError, NumericError
 from .estimators import censoring_kaplan_meier
 from .metrics import evaluate_predictions
@@ -45,7 +51,7 @@ from .sim import (
     gen_friedman_aft,
     write_dataset_with_metadata,
 )
-from .util import derived_seed, fmt6
+from .util import derived_seed
 
 _COMMON = {"seed": 0, "threads": 0}
 _PSEUDO = {
@@ -122,9 +128,7 @@ def _write_config(resolved: dict, command: str, anchor: Path) -> None:
     # threads is an execution detail: results are independent of it by design
     payload.update({k: v for k, v in resolved.items() if k != "threads"})
     path = anchor / "config.json" if anchor.is_dir() else Path(str(anchor) + ".config.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, indent=2, sort_keys=True)
 
 
 def _grid_from(resolved: dict, data: Dataset):
@@ -170,9 +174,7 @@ def cmd_transform(resolved: dict) -> None:
         "ipcw": bool(resolved["ipcw"]),
         "censoring_model": weight_summary,
     }
-    with open(out.with_suffix(out.suffix + ".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(out.with_suffix(out.suffix + ".meta.json"), meta, indent=2)
     _write_config(resolved, "transform", out)
 
 
@@ -197,61 +199,28 @@ def cmd_train(resolved: dict) -> None:
     _write_config(resolved, "train", out)
 
 
+def _model_covariates(model, data: Dataset) -> np.ndarray:
+    """The covariates in the model's column order, matched by name (v1 models: as given)."""
+    names, given = model.covariate_names, list(data.covariate_names)
+    if names is None:
+        return data.covariates
+    missing = [name for name in names if name not in given]
+    extra = [name for name in given if name not in names or given.count(name) > 1]
+    if missing or extra:
+        raise DataError(f"covariates do not match the model: missing {missing}, extra {extra}")
+    return data.covariates[:, [given.index(name) for name in names]]
+
+
 def cmd_predict(resolved: dict) -> None:
     model = load_model(resolved["model"])
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
-    cond = predict_conditional_matrix(model, data.covariates)
+    cond = predict_conditional_matrix(model, _model_covariates(model, data))
     marg = np.cumprod(cond, axis=1)
     out = Path(resolved["output"])
     J = model.n_intervals
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id"] + [f"cond_{j}" for j in range(J)] + [f"marg_{j}" for j in range(J)]
-        )
-        for i in range(len(data)):
-            writer.writerow([i] + [fmt6(v) for v in cond[i]] + [fmt6(v) for v in marg[i]])
+    header = ["id"] + [f"cond_{j}" for j in range(J)] + [f"marg_{j}" for j in range(J)]
+    write_csv(out, header, [np.arange(len(data)), *cond.T, *marg.T])
     _write_config(resolved, "predict", out)
-
-
-def _load_predictions(path, n_expected: int):
-    """Prediction matrix in subject order plus its times.
-
-    Rows may come in any order: the ``id`` column, a permutation of
-    0..n-1, places each row on its subject.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "id":
-            raise DataError("predictions header must start with 'id'")
-        try:
-            times = [float(name) for name in header[1:]]
-        except ValueError:
-            raise DataError("prediction columns after 'id' must be named by their times") from None
-        rows, row_of = [], np.full(n_expected, -1)
-        for lineno, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise DataError(
-                    f"predictions row {lineno} has {len(raw)} cells, expected {len(header)}"
-                )
-            try:
-                sid = int(raw[0])
-            except ValueError:
-                raise DataError(
-                    f"predictions row {lineno}: id {raw[0]!r} is not an integer"
-                ) from None
-            if not 0 <= sid < n_expected:
-                raise DataError(f"predictions row {lineno}: id {sid} is not in 0..{n_expected - 1}")
-            if row_of[sid] >= 0:
-                raise DataError(f"predictions row {lineno}: duplicate id {sid}")
-            row_of[sid] = len(rows)
-            rows.append([_parse_cell(c, lineno, name) for c, name in zip(raw[1:], header[1:])])
-    if len(rows) != n_expected:
-        raise DataError(f"predictions have {len(rows)} rows, data has {n_expected}")
-    return np.asarray(rows, dtype=float)[row_of], np.asarray(times, dtype=float)
 
 
 def cmd_evaluate(resolved: dict) -> None:
@@ -261,9 +230,9 @@ def cmd_evaluate(resolved: dict) -> None:
     if resolved.get("model"):
         model = load_model(resolved["model"])
         times = _parse_floats(resolved["times"]) if resolved.get("times") else model.cutpoints
-        pred = predict_survival(model, data.covariates, times)
+        pred = predict_survival(model, _model_covariates(model, data), times)
     else:
-        pred, times = _load_predictions(resolved["predictions"], len(data))
+        pred, times = load_predictions(resolved["predictions"], len(data))
     report = evaluate_predictions(data, pred, times, censoring_kaplan_meier(data))
     out = Path(resolved["output"])
     report.to_csv(out)
@@ -393,6 +362,8 @@ def cmd_simulate(resolved: dict) -> None:
     worker = _simulate_aft_replicate if study == "aft" else _simulate_cox_replicate
     threads = int(resolved["threads"])
     if threads > 1 and len(reps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # replicates take the worker processes; searches inside each run serial.
         # Each replicate derives its own randomness, so rows match at any count.
         inner = functools.partial(worker, dict(resolved, threads=1))
@@ -402,23 +373,14 @@ def cmd_simulate(resolved: dict) -> None:
         rows = [worker(resolved, rep) for rep in reps]
 
     columns = list(rows[0].keys())
-    with open(out_dir / "replicates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt6(row[c]) if c != "replicate" else row[c] for c in columns])
+    values = {c: np.array([row[c] for row in rows]) for c in columns}
+    write_csv(out_dir / "replicates.csv", columns, list(values.values()))
 
-    summary_cols = [c for c in columns if c != "replicate"]
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "mean", "sd"])
-        for col in summary_cols:
-            vals = np.array([row[col] for row in rows], dtype=float)
-            writer.writerow([col, fmt6(np.mean(vals)), fmt6(np.std(vals))])
-        if study != "aft":
-            for col in ("beta_gee", "beta_gee_ipcw"):
-                vals = np.array([row[col] for row in rows], dtype=float)
-                writer.writerow([f"{col}_mse_vs_1", fmt6(np.mean((vals - 1.0) ** 2)), ""])
+    stats, mse = columns[1:], [] if study == "aft" else ["beta_gee", "beta_gee_ipcw"]
+    names = stats + [f"{col}_mse_vs_1" for col in mse]
+    means = [np.mean(values[c]) for c in stats] + [np.mean((values[c] - 1.0) ** 2) for c in mse]
+    sds = [format(np.std(values[c]), ".6g") for c in stats] + [""] * len(mse)
+    write_csv(out_dir / "summary.csv", ["quantity", "mean", "sd"], [names, np.array(means), sds])
     _write_config(resolved, "simulate", out_dir)
 
 

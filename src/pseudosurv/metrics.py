@@ -8,16 +8,13 @@ reweighted by the censoring distribution).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv, write_json
 from .errors import DataError, NumericError
 from .estimators import StepSurvivalCurve, censoring_kaplan_meier
-from .util import fmt6
 
 
 @dataclass(frozen=True)
@@ -42,18 +39,8 @@ class EvalReport:
         object.__setattr__(self, "n_pairs", k)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "c_index", "brier", "n_pairs"])
-            for h in range(self.eval_times.size):
-                writer.writerow(
-                    [
-                        fmt6(self.eval_times[h]),
-                        fmt6(self.c_index[h]),
-                        fmt6(self.brier[h]),
-                        int(self.n_pairs[h]),
-                    ]
-                )
+        columns = [self.eval_times, self.c_index, self.brier, self.n_pairs]
+        write_csv(path, ["time", "c_index", "brier", "n_pairs"], columns)
 
     def to_json(self, path) -> None:
         payload = {
@@ -62,9 +49,7 @@ class EvalReport:
             "brier": self.brier.tolist(),
             "n_pairs": self.n_pairs.tolist(),
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, payload, indent=2)
 
 
 def _check_matrix(data: Dataset, predicted_survival, eval_times):

@@ -13,16 +13,16 @@ reproduce identical weights bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_json
 from .errors import DataError, NumericError
 from .estimators import WeightFunction
 from .metrics import EvalReport, c_index, evaluate_predictions
@@ -103,7 +103,12 @@ class MlpConfig:
 
 
 def default_grid(epochs: int = 100, batch_size: int = 256) -> list[MlpConfig]:
-    """The full Cartesian search grid (2520 configurations)."""
+    """The full Cartesian search grid (2520 configurations), cached per (epochs, batch_size)."""
+    return list(_default_grid(epochs, batch_size))
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _default_grid(epochs, batch_size) -> tuple[MlpConfig, ...]:
     layouts = [(w,) for w in HIDDEN_WIDTHS]
     layouts += [(w1, w2) for w1 in HIDDEN_WIDTHS for w2 in HIDDEN_WIDTHS]
     regs = [("dropout", r) for r in DROPOUT_RATES] + [("ridge", r) for r in RIDGE_PENALTIES]
@@ -122,7 +127,7 @@ def default_grid(epochs: int = 100, batch_size: int = 256) -> list[MlpConfig]:
                 batch_size=batch_size,
             )
         )
-    return grid
+    return tuple(grid)
 
 
 @dataclass
@@ -137,6 +142,7 @@ class MlpModel:
     biases: list[np.ndarray]
     training_log: list[float] = field(default_factory=list)
     weight_norm_log: list[float] = field(default_factory=list)
+    covariate_names: tuple[str, ...] | None = None
 
     @property
     def n_intervals(self) -> int:
@@ -364,6 +370,7 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
         biases=[b.copy() for b in ws.biases],
         training_log=loss_log,
         weight_norm_log=norm_log,
+        covariate_names=table.covariate_names,
     )
 
 
@@ -484,6 +491,8 @@ def grid_search(
     }
     scores: dict[int, float] = {}
     if n_jobs > 1 and chosen.size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(n_jobs, chosen.size),
             initializer=_set_search_context,
@@ -542,9 +551,9 @@ def fit_and_evaluate(
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Persist a model as versioned JSON (full float precision)."""
+    """Persist a model as versioned JSON (full float precision; v2 adds covariate names)."""
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "config": asdict(model.config),
         "cutpoints": model.cutpoints.tolist(),
         "covariate_mean": model.covariate_mean.tolist(),
@@ -553,19 +562,19 @@ def save_model(model: MlpModel, path) -> None:
         "biases": [b.tolist() for b in model.biases],
         "training_log": model.training_log,
         "weight_norm_log": model.weight_norm_log,
+        "covariate_names": None if model.covariate_names is None else list(model.covariate_names),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> MlpModel:
     with open(path) as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
-    if version != 1:
+    if version not in (1, 2):
         raise DataError(f"unsupported model format version: {version!r}")
     config = MlpConfig(**{f.name: payload["config"][f.name] for f in fields(MlpConfig)})
+    names = payload.get("covariate_names")
     return MlpModel(
         config=config,
         cutpoints=np.asarray(payload["cutpoints"], dtype=float),
@@ -575,4 +584,5 @@ def load_model(path) -> MlpModel:
         biases=[np.asarray(b, dtype=float) for b in payload["biases"]],
         training_log=list(payload.get("training_log", [])),
         weight_norm_log=list(payload.get("weight_norm_log", [])),
+        covariate_names=None if names is None else tuple(names),
     )

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import DataError
 from .estimators import WeightFunction, _blocks, _event_table, _ipcw_sums
 
@@ -124,29 +124,13 @@ class PseudoTable:
         )
 
     def to_csv(self, path) -> None:
-        """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo``.
-
-        The layout of ``csv.writer`` (comma separated, CRLF line ends; no field
-        needs quoting), built column by column: numbers at 6 significant
-        digits as ``fmt6`` writes them, one one-hot string per interval.
-        """
+        """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo`` (see :func:`write_csv`)."""
         J = self.n_intervals
-        header = (
-            ["id"]
-            + [f"z_{k + 1}" for k in range(self.p)]
-            + [f"d_{j}" for j in range(J)]
-            + ["pseudo"]
-        )
+        covariates = [f"z_{k + 1}" for k in range(self.p)]
+        header = ["id", *covariates, *(f"d_{j}" for j in range(J)), "pseudo"]
         onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
-        columns = (
-            [map(str, self.subject_ids.tolist())]
-            + [[format(v, ".6g") for v in col.tolist()] for col in self.covariates.T]
-            + [[onehot[j] for j in self.time_index.tolist()]]
-            + [[format(v, ".6g") for v in self.pseudo.tolist()]]
-        )
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        onehot_cells = [onehot[j] for j in self.time_index.tolist()]
+        write_csv(path, header, [self.subject_ids, *self.covariates.T, onehot_cells, self.pseudo])
 
 
 def make_grid(

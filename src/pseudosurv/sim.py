@@ -9,13 +9,12 @@ covariate-dependent censoring at roughly fifty percent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, save_dataset
+from .data import Dataset, save_dataset, write_json
 from .errors import DataError, NumericError
 from .util import derived_rng
 
@@ -98,6 +97,9 @@ def calibrate_censoring(survival_times, target_rate: float) -> float:
         raise NumericError("cannot bracket the requested censoring rate")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # f(lo) < target <= f(hi), so every later step would keep both ends
+            break
         if censored_fraction(mid) < target_rate:
             lo = mid
         else:
@@ -234,6 +236,4 @@ def write_dataset_with_metadata(data: Dataset, info: dict, csv_path) -> None:
     """Serialize a generated dataset in the ingestion CSV schema plus a JSON sidecar."""
     csv_path = Path(csv_path)
     save_dataset(data, csv_path)
-    with open(csv_path.with_suffix(csv_path.suffix + ".meta.json"), "w") as fh:
-        json.dump(info, fh, indent=2)
-        fh.write("\n")
+    write_json(csv_path.with_suffix(csv_path.suffix + ".meta.json"), info, indent=2)

@@ -1,4 +1,4 @@
-"""Small shared helpers: reproducible RNG derivation and number formatting."""
+"""Small shared helpers: reproducible RNG derivation."""
 
 from __future__ import annotations
 
@@ -33,12 +33,3 @@ def derived_seed(seed: int, *tags) -> int:
     """A plain integer seed derived like :func:`derived_rng`."""
     return int(np.random.SeedSequence(_seed_keys(seed, tags)).generate_state(1)[0])
 
-
-def fmt6(x) -> str:
-    """Format one number at 6 significant digits for CSV output."""
-    if isinstance(x, (int, np.integer, np.bool_)):  # bool is an int
-        return str(int(x))
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return format(x, ".6g")

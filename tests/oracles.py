@@ -5,9 +5,17 @@ ran on preallocated buffers: the straightforward allocating form, kept as a
 byte oracle, since the buffered step must produce the same floats in the same
 order.  ``pseudo_marginal_naive`` refits the estimator once per subject and
 ``nelson_aalen`` is the unweighted cumulative hazard.
+
+``load_dataset``, ``save_dataset``, ``load_predictions``, ``write_predictions``
+and ``calibrate_censoring`` are the CSV reader and writers and the censoring
+calibration as they were before they worked on whole columns and stopped the
+bisection early: the row-by-row form, kept as a byte oracle for files,
+arrays, error messages and rates.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -23,6 +31,7 @@ from pseudosurv import (
     ipcw_survival,
     kaplan_meier,
 )
+from pseudosurv.data import _MISSING_TOKENS
 from pseudosurv.estimators import _event_table
 from pseudosurv.util import derived_rng
 
@@ -212,3 +221,164 @@ def nelson_aalen(data: Dataset) -> StepSurvivalCurve:
         raise DataError("empty dataset")
     u, d, n = _event_table(data.time, data.event)
     return StepSurvivalCurve(u, np.cumsum(d / n), 0.0)
+
+
+def fmt6(x) -> str:
+    """Format one number at 6 significant digits for CSV output."""
+    if isinstance(x, (int, np.integer, np.bool_)):  # bool is an int
+        return str(int(x))
+    x = float(x)
+    if np.isnan(x):
+        return "nan"
+    return format(x, ".6g")
+
+
+def _parse_cell(text: str, row: int, column: str) -> float:
+    stripped = text.strip()
+    if stripped.lower() in _MISSING_TOKENS:
+        raise DataError(f"missing value at row {row}, column '{column}'")
+    try:
+        return float(stripped)
+    except ValueError:
+        raise DataError(f"invalid number {text!r} at row {row}, column '{column}'") from None
+
+
+def load_dataset(path, drop_incomplete: bool = False) -> Dataset:
+    """Read a dataset from CSV with header ``time,event,<covariates...>``.
+
+    ``event`` must be 0 or 1.  Rows containing missing cells raise unless
+    ``drop_incomplete`` is set, in which case they are silently dropped.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty dataset") from None
+        header = [h.strip() for h in header]
+        if len(header) < 2 or header[0] != "time" or header[1] != "event":
+            raise DataError("header must start with 'time,event'")
+        names = header[2:]
+        times, events, rows = [], [], []
+        for lineno, raw in enumerate(reader, start=1):
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise DataError(f"row {lineno} has {len(raw)} cells, expected {len(header)}")
+            if drop_incomplete and any(c.strip().lower() in _MISSING_TOKENS for c in raw):
+                continue
+            t = _parse_cell(raw[0], lineno, "time")
+            e = _parse_cell(raw[1], lineno, "event")
+            if e not in (0.0, 1.0):
+                raise DataError(f"event must be 0 or 1 at row {lineno}, column 'event'")
+            if t < 0:
+                raise DataError(f"negative time at row {lineno}, column 'time'")
+            times.append(t)
+            events.append(bool(e))
+            rows.append([_parse_cell(c, lineno, name) for c, name in zip(raw[2:], names)])
+    if not times:
+        raise DataError("empty dataset")
+    cov = np.array(rows, dtype=float) if names else np.empty((len(times), 0))
+    return Dataset(np.array(times), np.array(events), cov, tuple(names))
+
+
+def save_dataset(data: Dataset, path) -> None:
+    """Write a dataset back out in the ingestion schema (6 significant digits)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", *data.covariate_names])
+        for i in range(data.n):
+            writer.writerow(
+                [fmt6(data.time[i]), int(data.event[i])]
+                + [fmt6(v) for v in data.covariates[i]]
+            )
+
+
+def write_predictions(path, cond: np.ndarray, marg: np.ndarray) -> None:
+    """The ``predict`` output file: ids, conditional then marginal survival."""
+    J = cond.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["id"] + [f"cond_{j}" for j in range(J)] + [f"marg_{j}" for j in range(J)]
+        )
+        for i in range(cond.shape[0]):
+            writer.writerow([i] + [fmt6(v) for v in cond[i]] + [fmt6(v) for v in marg[i]])
+
+
+def load_predictions(path, n_expected: int):
+    """Prediction matrix in subject order plus its times.
+
+    Rows may come in any order: the ``id`` column, a permutation of
+    0..n-1, places each row on its subject.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "id":
+            raise DataError("predictions header must start with 'id'")
+        try:
+            times = [float(name) for name in header[1:]]
+        except ValueError:
+            raise DataError("prediction columns after 'id' must be named by their times") from None
+        rows, row_of = [], np.full(n_expected, -1)
+        for lineno, raw in enumerate(reader, start=1):
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise DataError(
+                    f"predictions row {lineno} has {len(raw)} cells, expected {len(header)}"
+                )
+            try:
+                sid = int(raw[0])
+            except ValueError:
+                raise DataError(
+                    f"predictions row {lineno}: id {raw[0]!r} is not an integer"
+                ) from None
+            if not 0 <= sid < n_expected:
+                raise DataError(f"predictions row {lineno}: id {sid} is not in 0..{n_expected - 1}")
+            if row_of[sid] >= 0:
+                raise DataError(f"predictions row {lineno}: duplicate id {sid}")
+            row_of[sid] = len(rows)
+            rows.append([_parse_cell(c, lineno, name) for c, name in zip(raw[1:], header[1:])])
+    if len(rows) != n_expected:
+        raise DataError(f"predictions have {len(rows)} rows, data has {n_expected}")
+    return np.asarray(rows, dtype=float)[row_of], np.asarray(times, dtype=float)
+
+
+def calibrate_censoring(survival_times, target_rate: float) -> float:
+    """Exponential censoring rate whose induced censored fraction matches target.
+
+    For C ~ Exp(rate) independent of X, the censored probability given the
+    sample is mean(1 - exp(-rate * X_i)); that expectation over the supplied
+    Monte Carlo sample is bisected in the rate.  Deterministic given the
+    sample: no fresh censoring draws are needed.
+    """
+    x = np.asarray(survival_times, dtype=float)
+    if x.size == 0 or np.any(x <= 0):
+        raise DataError("survival times must be positive")
+    if not 0.0 < target_rate < 1.0:
+        raise DataError("target_rate must be in (0, 1)")
+
+    def censored_fraction(rate):
+        return float(np.mean(-np.expm1(-rate * x)))
+
+    lo, hi = 0.0, 1.0 / float(np.median(x))
+    for _ in range(200):
+        if censored_fraction(hi) >= target_rate:
+            break
+        hi *= 2.0
+        if hi > 1e15:
+            raise NumericError("cannot bracket the requested censoring rate")
+    else:
+        raise NumericError("cannot bracket the requested censoring rate")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if censored_fraction(mid) < target_rate:
+            lo = mid
+        else:
+            hi = mid
+    rate = 0.5 * (lo + hi)
+    if abs(censored_fraction(rate) - target_rate) > 0.01:
+        raise NumericError("censoring calibration did not reach the target rate")
+    return rate

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pseudosurv import gen_cox, CoxSimSpec, save_dataset, load_dataset, DataError
+from pseudosurv import gen_cox, CoxSimSpec, Dataset, save_dataset, load_dataset, DataError
 from pseudosurv.cli import main
 
 
@@ -227,6 +227,93 @@ class TestTrainPredictEvaluate:
     def test_evaluate_needs_exactly_one_source(self, tmp_path, sim_csv):
         out = tmp_path / "r.csv"
         assert main(["evaluate", "--input", str(sim_csv), "--output", str(out)]) == 2
+
+
+class TestCovariateOrder:
+    """predict and evaluate --model match input columns to the model by name."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        rng = np.random.default_rng(8)
+        cov = rng.standard_normal((120, 3))
+        time = rng.exponential(np.exp(-cov[:, 0] + 0.5 * cov[:, 2]))
+        data = Dataset(time, rng.random(120) < 0.7, cov, ("age", "dose", "score"))
+        src = tmp_path / "data.csv"
+        save_dataset(data, src)
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--input", str(src), "--model-out", str(model), "--budget", "1",
+            "--folds", "2", "--epochs", "3", "--seed", "2", "--threads", "1",
+        ]) == 0
+        return data, src, model
+
+    def _run(self, tmp_path, model, data, tag):
+        src = tmp_path / f"{tag}.csv"
+        save_dataset(data, src)
+        outs = [tmp_path / f"{tag}_pred.csv", tmp_path / f"{tag}_eval.csv"]
+        codes = (
+            main(["predict", "--model", str(model), "--input", str(src), "--output", str(outs[0])]),
+            main(["evaluate", "--model", str(model), "--input", str(src), "--output", str(outs[1])]),
+        )
+        return codes, outs + [tmp_path / f"{tag}_eval.csv.json"]
+
+    def _permuted(self, data, order):
+        names = tuple(data.covariate_names[k] for k in order)
+        return Dataset(data.time, data.event, data.covariates[:, order], names)
+
+    def test_model_stores_names(self, trained):
+        payload = json.loads(trained[2].read_text())
+        assert payload["format_version"] == 2
+        assert payload["covariate_names"] == ["age", "dose", "score"]
+
+    def test_permuted_columns_give_identical_files(self, tmp_path, trained):
+        data, _, model = trained
+        codes, base = self._run(tmp_path, model, data, "base")
+        assert codes == (0, 0)
+        codes, perm = self._run(tmp_path, model, self._permuted(data, [2, 0, 1]), "perm")
+        assert codes == (0, 0)
+        for a, b in zip(base, perm):
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "names, named",
+        [
+            (("age", "dosage", "score"), ["'dose'", "'dosage'"]),
+            (("age", "score", "score"), ["'dose'", "'score'"]),
+        ],
+    )
+    def test_mismatched_columns_exit_2(self, tmp_path, trained, capsys, names, named):
+        data, _, model = trained
+        renamed = Dataset(data.time, data.event, data.covariates, names)
+        codes, _ = self._run(tmp_path, model, renamed, "renamed")
+        assert codes == (2, 2)
+        err = capsys.readouterr().err
+        assert all(name in err for name in named)
+
+    def test_extra_column_exits_2(self, tmp_path, trained, capsys):
+        data, _, model = trained
+        wider = Dataset(data.time, data.event, np.c_[data.covariates, data.time],
+                        data.covariate_names + ("height",))
+        codes, _ = self._run(tmp_path, model, wider, "wider")
+        assert codes == (2, 2)
+        assert "extra ['height']" in capsys.readouterr().err
+
+    def test_version_1_model_takes_columns_in_order(self, tmp_path, trained):
+        data, _, model = trained
+        payload = json.loads(model.read_text())
+        del payload["covariate_names"]
+        payload["format_version"] = 1
+        old = tmp_path / "model_v1.json"
+        old.write_text(json.dumps(payload))
+        codes, base = self._run(tmp_path, model, data, "base")
+        codes_v1, v1 = self._run(tmp_path, old, data, "v1")
+        assert codes == codes_v1 == (0, 0)
+        for a, b in zip(base, v1):
+            assert a.read_bytes() == b.read_bytes()
+        swapped = self._permuted(data, [1, 0, 2])
+        codes, perm = self._run(tmp_path, old, swapped, "v1perm")
+        assert codes == (0, 0)
+        assert perm[0].read_bytes() != base[0].read_bytes()
 
 
 class TestSplit:

@@ -397,7 +397,7 @@ class TestPersistence:
         model = train(table, small_config(epochs=2))
         path = tmp_path / "model.json"
         save_model(model, path)
-        payload = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        payload = path.read_text().replace('"format_version": 2', '"format_version": 99')
         path.write_text(payload)
         with pytest.raises(DataError, match="format version"):
             load_model(path)
