@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,18 @@ class Dataset:
         return Dataset(self.time[idx], self.event[idx], self.covariates[idx], self.covariate_names)
 
 
+@contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over ``path``.  A directory, an unreadable file, bytes that
+    do not decode or a field over the ``csv`` size limit raise a DataError naming the path."""
+    try:
+        with open(path, newline="") as fh:
+            yield csv.reader(fh)
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError, csv.Error) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise DataError(f"{path}: {reason}") from None
+
+
 def _parse_cells(raw, row: int, names) -> list[float]:
     """One row's cells as floats; the first missing or invalid cell raises."""
     values = []
@@ -143,8 +156,7 @@ def load_dataset(path, drop_incomplete: bool = False) -> Dataset:
     ``event`` must be 0 or 1.  Rows containing missing cells raise unless
     ``drop_incomplete`` is set, in which case they are silently dropped.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         if (header := next(reader, None)) is None:
             raise DataError("empty dataset")
         header = [h.strip() for h in header]
@@ -185,8 +197,7 @@ def load_predictions(path, n_expected: int):
     Rows may come in any order: the ``id`` column, a permutation of
     0..n-1, places each row on its subject.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header or header[0] != "id":
             raise DataError("predictions header must start with 'id'")

@@ -110,8 +110,41 @@ def censoring_kaplan_meier(data: Dataset) -> StepSurvivalCurve:
     return kaplan_meier(flipped)
 
 
-# subjects per block when IPCW sums are accumulated over a sample
-_CHUNK = 1024
+# cells per block of IPCW weights: 2**17 float64 cells is 1 MiB, inside a per-core L2 cache
+_BLOCK_CELLS = 2**17
+# a sample of at most this many blocks' cells (8 MiB) is one block, so the
+# leave-one-out pass reuses its weights: every sample of up to 1 024 subjects
+_REUSE_BLOCKS = 8
+# a one-column weight sum runs pairwise along the subjects, in groups of this many
+_SUM_GROUP = 1024
+_TINY = np.finfo(float).tiny
+
+
+def _survival_into(out, risk, lam):
+    """max(exp(-risk_i * lam_k), tiny) into ``out``, a (len(risk), len(lam)) array.
+
+    The exponent is one product, -lam scaled in place by each risk.  The floor
+    is applied only when the largest exponent can reach it: exp(-x) is a
+    normal float for x <= 700.
+    """
+    np.negative(lam, out=out)
+    np.multiply(out, risk[:, None], out=out)
+    np.exp(out, out=out)
+    if risk.max(initial=0.0) * lam.max(initial=0.0) > 700.0:
+        np.maximum(out, _TINY, out=out)
+    return out
+
+
+def _weights_into(out, risk, lam, cap):
+    """min(1 / G, cap) into ``out``, with G from :func:`_survival_into`.
+
+    The cap is applied only when the largest exponent x can reach it:
+    1 / exp(-x) stays below the cap for x < log(cap) - 1e-9.
+    """
+    np.divide(1.0, _survival_into(out, risk, lam), out=out)
+    if risk.max(initial=0.0) * lam.max(initial=0.0) >= np.log(cap) - 1e-9:
+        np.minimum(out, cap, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,9 +160,10 @@ class WeightFunction:
     limit of the censoring survival curve, capped to keep the variance finite
     deep in the censoring tail.
 
-    Memory is O(n + K) for n subjects and K jumps.  A (subjects x times) block
-    exists only when ``weights_at`` is asked for one; callers that need many
-    times for many subjects evaluate ``subset`` blocks of subjects in turn.
+    Memory is O(n + K) for n subjects and K jumps.  A (subjects x times) array
+    exists only when ``weights_at`` is asked for one, at three passes over it
+    (product, exp, reciprocal) plus the floor or the cap where they can bind;
+    the IPCW sums evaluate the same formula a block of about 1 MiB at a time.
     """
 
     times: np.ndarray
@@ -162,39 +196,35 @@ class WeightFunction:
     def n_subjects(self) -> int:
         return self.risk.size
 
-    def _survival(self, lam: np.ndarray) -> np.ndarray:
-        """max(exp(-risk_i * lam_k), tiny) as a fresh (n, len(lam)) array."""
-        g = np.outer(self.risk, lam)
-        np.negative(g, out=g)
-        np.exp(g, out=g)
-        return np.maximum(g, np.finfo(float).tiny, out=g)
-
     @property
     def surv_values(self) -> np.ndarray:
         """The dense (n_subjects, len(times)) matrix of G(times[k] | Z_i).
 
         Built on every access, O(n * K) memory; the library never uses it.
         """
-        g = self._survival(self.cumhaz)
+        g = _survival_into(np.empty((self.risk.size, self.times.size)), self.risk, self.cumhaz)
         g.setflags(write=False)
         return g
 
+    def _cumhaz_left(self, u) -> np.ndarray:
+        """Lambda_0(u-) at each of the flattened times ``u`` (0 before the first jump)."""
+        idx = np.searchsorted(self.times, np.ravel(np.asarray(u, dtype=float)), side="left")
+        return np.concatenate(([0.0], self.cumhaz))[idx]
+
     def survival_at_left(self, u) -> np.ndarray:
         """G(u- | Z_i) for every subject: shape (n,) or (n, len(u))."""
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = np.searchsorted(self.times, u_arr, side="left")
-        # Lambda_0 is 0 before the first jump, so G(u-) is exactly 1 there
-        g = self._survival(np.concatenate(([0.0], self.cumhaz))[idx])
-        return g[:, 0] if np.isscalar(u) or np.asarray(u).ndim == 0 else g
+        lam = self._cumhaz_left(u)
+        g = _survival_into(np.empty((self.risk.size, lam.size)), self.risk, lam)
+        return g[:, 0] if np.ndim(u) == 0 else g
 
     def weights_at(self, u) -> np.ndarray:
         """Capped IPCW weights min(1/G(u-), cap) for every subject at ``u``.
 
         Only the requested columns are computed: O(n * len(u)) time and memory.
         """
-        g = self.survival_at_left(u)
-        np.divide(1.0, g, out=g)
-        return np.minimum(g, self.cap, out=g)
+        lam = self._cumhaz_left(u)
+        w = _weights_into(np.empty((self.risk.size, lam.size)), self.risk, lam, self.cap)
+        return w[:, 0] if np.ndim(u) == 0 else w
 
     def subset(self, indices) -> "WeightFunction":
         return WeightFunction(self.times, self.cumhaz, self.risk[indices], self.cap)
@@ -214,9 +244,30 @@ class WeightFunction:
         return cls(np.array([0.0]), np.array([1.0]), np.log(w), cap)
 
 
-def _blocks(m: int) -> list[slice]:
-    """Consecutive slices of at most ``_CHUNK`` subjects covering range(m)."""
-    return [slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)]
+def _at_risk_weights(times, u, weights: WeightFunction, rows, offset: float):
+    """Blocks of the sample's weights at ``u + offset`` times its at-risk indicators.
+
+    Yields (sl, buf, w): w[i, k] is the weight of subject ``sl.start + i``
+    (weight row ``rows[sl.start + i]``) if its time is >= u[k], else 0.  Every block
+    is written into the one buffer ``buf`` as ``buf[1:len(w) + 1]``; the
+    head row ``buf[0]`` is left free for a running column total.  A block
+    holds about ``_BLOCK_CELLS`` cells; a sample of at most ``_REUSE_BLOCKS``
+    blocks' cells, one column or none is a single block.  Only the rows of
+    subjects that leave the risk set before ``u[-1]`` have a suffix to zero;
+    every other row is all at risk.
+    """
+    m, K = times.size, u.size
+    sample = weights.subset(rows)  # validates the sample's relative risks once
+    lam = sample._cumhaz_left(u + offset)
+    step = m if K <= 1 or m * K <= _REUSE_BLOCKS * _BLOCK_CELLS else max(1, _BLOCK_CELLS // K)
+    buf = np.empty((min(step, m) + 1, K))
+    reach = np.searchsorted(u, times, side="right")  # event times at or before each time
+    for lo in range(0, m, step):
+        sl = slice(lo, min(lo + step, m))
+        w = _weights_into(buf[1 : sl.stop - lo + 1], sample.risk[sl], lam, sample.cap)
+        for i in np.flatnonzero(reach[sl] < K).tolist():
+            w[i, reach[lo + i]:] = 0.0
+        yield sl, buf, w
 
 
 def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 0.0):
@@ -226,28 +277,32 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
     Subject k of the sample (``times[k]``, ``events[k]``) takes weight row
     ``rows[k]`` of ``weights``, evaluated at ``u + offset``.  A[j] adds the
     weights of the events at u[j], B[j] those of the subjects with time >= u[j].
-    Subjects are processed in blocks of ``_CHUNK``, so memory is
-    O(_CHUNK * len(u) + n); both sums still add the subjects one by one in
-    sample order, as a single block would.  Returns (A, B, w) where ``w`` is
-    the sample's weight block when it fits in one block, else None.
+    The weights come in blocks of about ``_BLOCK_CELLS`` cells (1 MiB, inside
+    a per-core L2 cache; a sample of at most 8 MiB of weights is one block),
+    so memory is O(n + len(u)) beyond those 8 MiB, and each weight costs
+    about four passes: product, exp, reciprocal and the column sum.  B adds the subjects one by one in sample order whatever the block
+    size; a one-column B is summed pairwise over the same groups of
+    ``_SUM_GROUP`` subjects as always.  Returns (A, B, w) where ``w`` is the
+    sample's at-risk weight block (see :func:`_at_risk_weights`) when the
+    sample is one block, else None.
     """
     K = u.size
     col = np.searchsorted(u, times, side="left")
     hit = events & (col < K)
     B = np.zeros(K)
     event_w = []
-    blocks = _blocks(times.size)
-    for sl in blocks:
-        w = weights.subset(rows[sl]).weights_at(u + offset)
+    for sl, buf, w in _at_risk_weights(times, u, weights, rows, offset):
         ev = np.flatnonzero(hit[sl])
         event_w.append(w[ev, col[sl][ev]])
-        # the running total heads the block so the column sum keeps sample order
-        block = np.empty((w.shape[0] + 1, K))
-        block[0] = B
-        np.multiply(w, times[sl, None] >= u, out=block[1:])
-        B = block.sum(axis=0)
+        if K == 1:  # numpy sums a single column pairwise, so the grouping sets its bits
+            for lo in range(0, len(w), _SUM_GROUP):
+                B = np.concatenate((B[None], w[lo : lo + _SUM_GROUP])).sum(axis=0)
+        else:
+            # the running total heads the block so the column sum keeps sample order
+            buf[0] = B
+            B = buf[: len(w) + 1].sum(axis=0)
     A = np.bincount(col[hit], weights=np.concatenate(event_w), minlength=K)
-    return A, B, (w if len(blocks) == 1 else None)
+    return A, B, (w if len(w) == times.size else None)
 
 
 def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurvivalCurve:

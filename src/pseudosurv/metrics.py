@@ -65,37 +65,44 @@ def _check_matrix(data: Dataset, predicted_survival, eval_times):
     return pred, times
 
 
-_BLOCK = 128
-
-
 def _later_counts(later: np.ndarray, s: np.ndarray, q: np.ndarray):
-    """Per query k: how many of the first ``later[k]`` entries of ``s`` exceed / equal ``s[q[k]]``.
+    """Per query k: how many of the first ``later[q[k]]`` entries of ``s`` exceed / equal ``s[q[k]]``.
 
-    Offline prefix counting in blocks of ``_BLOCK``: the queries whose prefix
-    ends in block b are answered by binary search in the sorted values of
-    blocks 0..b-1 plus a direct comparison inside block b.  O(n log n + n^2 /
-    _BLOCK) time, the quadratic term a memory move per block; O(n) memory.
-    NaN never compares greater or equal, as with ``>`` and ``==``.
+    ``later[i]`` is where the run of equal keys holding entry i starts, so the
+    entries before it are those strictly ahead of i.  Inside each run the
+    entries are put in increasing order of value, so an entry's predecessors
+    from its own run are never greater than it; "greater" then counts, for
+    every entry, the earlier entries with a greater value, by a bottom-up
+    merge sort on value ranks: merging two sorted neighbouring runs moves an
+    entry of the right run left by the number of greater entries of the left
+    run.  The stable sort of two sorted runs is a merge, so each level is
+    linear and the whole count O(n log n).  The ranks come from one sort by
+    value, "equal" from one sort by (rank, position).  O(n) memory; NaN never
+    compares greater or equal, as with ``>`` and ``==``.
     """
-    x = s[q]
-    gt = np.zeros(q.size, dtype=np.int64)
-    eq = np.zeros(q.size, dtype=np.int64)
-    block = later // _BLOCK
-    order = np.argsort(block, kind="stable")
-    bounds = np.searchsorted(block[order], np.arange(block.max() + 2))
-    prefix = np.empty(0)  # sorted non-NaN values of the blocks before b
-    for b in range(bounds.size - 1):
-        sel = order[bounds[b]:bounds[b + 1]]
-        vals = s[b * _BLOCK:(b + 1) * _BLOCK]
-        if sel.size:
-            xs = x[sel]
-            right = np.searchsorted(prefix, xs, side="right")
-            inside = np.arange(vals.size) < (later[sel] - b * _BLOCK)[:, None]
-            gt[sel] = prefix.size - right + ((vals > xs[:, None]) & inside).sum(axis=1)
-            eq[sel] = (right - np.searchsorted(prefix, xs, side="left")
-                       + ((vals == xs[:, None]) & inside).sum(axis=1))
-        vals = np.sort(vals[~np.isnan(vals)])
-        prefix = np.insert(prefix, np.searchsorted(prefix, vals), vals)
+    n = s.size
+    nan = np.isnan(s)
+    by_value = np.argsort(s)  # NaN last
+    ordered = s[by_value]
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_value] = np.cumsum(np.concatenate(([1], ordered[1:] != ordered[:-1])))
+    rank[nan] = 0  # below every value, and never equal to a query's rank
+    R = int(rank.max()) + 1
+    slot = np.arange(n)
+    ids = np.argsort(later * R + rank, kind="stable")
+    key = rank[ids]
+    moved = np.zeros(n, dtype=np.intp)
+    for level in range(max(n - 1, 0).bit_length()):
+        merged = np.argsort((slot >> (level + 1)) * R + key, kind="stable")
+        moved = moved[merged] + np.maximum(merged - slot, 0)
+        key, ids = key[merged], ids[merged]
+    greater = np.empty(n, dtype=np.intp)
+    greater[ids] = moved
+    value_then_slot = np.sort(rank * n + slot)
+    first = rank[q] * n
+    equal = np.searchsorted(value_then_slot, first + later[q]) - np.searchsorted(value_then_slot, first)
+    gt = np.where(nan[q], 0, greater[q])
+    eq = np.where(nan[q], 0, equal)
     return gt, eq
 
 
@@ -110,9 +117,9 @@ def c_index(data: Dataset, predicted_survival, eval_times):
 
     Counting is sort-based, not a scan per event: subjects are ordered by
     decreasing time, so the subjects strictly later than an event form a
-    prefix, and the concordant and tied counts in that prefix come from
-    blocked binary searches.  O(n log n + n^2 / 128) time and O(n) memory per
-    horizon; the counts are exact integers.
+    prefix, and the concordant and tied counts in that prefix come from a
+    merge count over value ranks and one sort by value.  O(n log n) time and
+    O(n) memory per horizon; the counts are exact integers.
     """
     pred, times = _check_matrix(data, predicted_survival, eval_times)
     H = times.size
@@ -128,7 +135,7 @@ def c_index(data: Dataset, predicted_survival, eval_times):
         pairs = int(later[q].sum())
         counts[h] = pairs
         if pairs:
-            gt, eq = _later_counts(later[q], pred[order, h], q)
+            gt, eq = _later_counts(later, pred[order, h], q)
             values[h] = (float(gt.sum()) + 0.5 * float(eq.sum())) / pairs
     return values, counts
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, write_csv
 from .errors import DataError
-from .estimators import WeightFunction, _blocks, _event_table, _ipcw_sums
+from .estimators import WeightFunction, _at_risk_weights, _event_table, _ipcw_sums
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,26 @@ class PseudoTable:
         )
 
     def to_csv(self, path) -> None:
-        """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo`` (see :func:`write_csv`)."""
+        """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo`` (see :func:`write_csv`).
+
+        A subject's rows repeat its covariates, so each run of rows with the
+        same covariate bits is formatted once and its text gathered by row.
+        """
         J = self.n_intervals
         covariates = [f"z_{k + 1}" for k in range(self.p)]
         header = ["id", *covariates, *(f"d_{j}" for j in range(J)), "pseudo"]
         onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
+        cells = [self.subject_ids]
+        if self.p:
+            bits = np.ascontiguousarray(self.covariates).view(np.uint64)
+            new_run = np.ones(len(self), dtype=bool)
+            new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            text = [",".join(row) for row in zip(*(
+                [format(v, ".6g") for v in col.tolist()] for col in self.covariates[new_run].T
+            ))]
+            cells.append([text[i] for i in (np.cumsum(new_run) - 1).tolist()])
         onehot_cells = [onehot[j] for j in self.time_index.tolist()]
-        write_csv(path, header, [self.subject_ids, *self.covariates.T, onehot_cells, self.pseudo])
+        write_csv(path, header, [*cells, onehot_cells, self.pseudo])
 
 
 def make_grid(
@@ -210,26 +223,41 @@ def _ipcw_loo(times, events, u, weights, rows, time_offset):
     a subject drops its weight from both the event sum and the at-risk sum of
     every term; a term whose risk set empties contributes nothing.  A first
     pass accumulates the sums, a second computes each subject's leave-one-out
-    terms, both over the same blocks of subjects: memory O(block * len(u) + n).
+    terms, both over the same blocks of about 1 MiB of weights: memory
+    O(n + len(u)) beyond at most 8 MiB of weights.  A sample that is one
+    block keeps its weights from the first pass; otherwise the second pass
+    computes them again.  Per weight the second pass adds a subtraction, a division and the
+    row sum.
     """
     A, B, w = _ipcw_sums(times, events, u, weights, rows, time_offset)
     s_full = float(np.exp(-(A / B).sum()))
+    m, K = times.size, u.size
     col = np.searchsorted(u, times, side="left")
-    own = events & (col < u.size)
-    s_loo = np.empty(times.size)
-    for sl in _blocks(times.size):
-        # a single block reuses the first pass's weights; several compute them again
-        wb = w if w is not None else weights.subset(rows[sl]).weights_at(u + time_offset)
+    own = events & (col < K)
+    # B[k] minus one at-risk weight can be 0 only at the event times after the
+    # second-largest time, where the risk set holds one subject: every weight is
+    # in [min(1, cap), cap], and with cap <= 2**50 no weight absorbs another in a
+    # sum.  Only the columns from ``safe`` on take the guarded divide.
+    safe = int(np.searchsorted(u, np.partition(times, m - 2)[m - 2], side="right"))
+    if weights.cap > 2.0**50:
+        safe = 0
+    if w is not None:
+        blocks = [(slice(0, m), w)]
+    else:
+        blocks = ((sl, wb) for sl, _, wb in _at_risk_weights(times, u, weights, rows, time_offset))
+    s_loo = np.empty(m)
+    for sl, wb in blocks:
         ev = np.flatnonzero(own[sl])
         ev_col = col[sl][ev]
         ev_w = wb[ev, ev_col]
-        # in place: the weights become the leave-one-out at-risk sums, then the terms
-        np.multiply(wb, times[sl, None] >= u, out=wb)
+        # in place: the at-risk weights become the leave-one-out at-risk sums, then the terms
         np.subtract(B, wb, out=wb)
         ev_den = wb[ev, ev_col]
-        pos = wb > 0
-        np.divide(A, wb, out=wb, where=pos)
-        np.copyto(wb, 0.0, where=~pos)
+        np.divide(A[:safe], wb[:, :safe], out=wb[:, :safe])
+        tail = wb[:, safe:]
+        pos = tail > 0
+        np.divide(A[safe:], tail, out=tail, where=pos)
+        np.copyto(tail, 0.0, where=~pos)
         ok = ev_den > 0
         wb[ev[ok], ev_col[ok]] = (A[ev_col[ok]] - ev_w[ok]) / ev_den[ok]
         s_loo[sl] = np.exp(-wb.sum(axis=1))

@@ -11,6 +11,12 @@ and ``calibrate_censoring`` are the CSV reader and writers and the censoring
 calibration as they were before they worked on whole columns and stopped the
 bisection early: the row-by-row form, kept as a byte oracle for files,
 arrays, error messages and rates.
+
+``weights_at``, ``_ipcw_sums`` and ``_ipcw_loo`` are the IPCW kernel as it
+was before it ran in cell-sized blocks: 1 024-subject blocks, the indicator
+multiplied into every row and a guarded divide on every entry, kept as a
+byte oracle for weights, sums and pseudo values.  ``pseudo_table_to_csv`` is
+the pseudo-value table writer that formatted every row's covariates.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from pseudosurv import (
     ipcw_survival,
     kaplan_meier,
 )
-from pseudosurv.data import _MISSING_TOKENS
+from pseudosurv.data import _MISSING_TOKENS, write_csv
 from pseudosurv.estimators import _event_table
 from pseudosurv.util import derived_rng
 
@@ -382,3 +388,114 @@ def calibrate_censoring(survival_times, target_rate: float) -> float:
     if abs(censored_fraction(rate) - target_rate) > 0.01:
         raise NumericError("censoring calibration did not reach the target rate")
     return rate
+
+
+# subjects per block when IPCW sums are accumulated over a sample
+_CHUNK = 1024
+
+
+def _survival(weights: WeightFunction, lam: np.ndarray) -> np.ndarray:
+    """max(exp(-risk_i * lam_k), tiny) as a fresh (n, len(lam)) array."""
+    g = np.outer(weights.risk, lam)
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    return np.maximum(g, np.finfo(float).tiny, out=g)
+
+
+def survival_at_left(weights: WeightFunction, u) -> np.ndarray:
+    """G(u- | Z_i) for every subject: shape (n,) or (n, len(u))."""
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    idx = np.searchsorted(weights.times, u_arr, side="left")
+    # Lambda_0 is 0 before the first jump, so G(u-) is exactly 1 there
+    g = _survival(weights, np.concatenate(([0.0], weights.cumhaz))[idx])
+    return g[:, 0] if np.isscalar(u) or np.asarray(u).ndim == 0 else g
+
+
+def weights_at(weights: WeightFunction, u) -> np.ndarray:
+    """Capped IPCW weights min(1/G(u-), cap) for every subject at ``u``.
+
+    Only the requested columns are computed: O(n * len(u)) time and memory.
+    """
+    g = survival_at_left(weights, u)
+    np.divide(1.0, g, out=g)
+    return np.minimum(g, weights.cap, out=g)
+
+
+def _blocks(m: int) -> list[slice]:
+    """Consecutive slices of at most ``_CHUNK`` subjects covering range(m)."""
+    return [slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)]
+
+
+def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 0.0):
+    """Weighted event sums A and at-risk sums B at the sorted event times ``u``.
+
+    ``u`` must hold every distinct event time of the sample up to ``u[-1]``.
+    Subject k of the sample (``times[k]``, ``events[k]``) takes weight row
+    ``rows[k]`` of ``weights``, evaluated at ``u + offset``.  A[j] adds the
+    weights of the events at u[j], B[j] those of the subjects with time >= u[j].
+    Subjects are processed in blocks of ``_CHUNK``, so memory is
+    O(_CHUNK * len(u) + n); both sums still add the subjects one by one in
+    sample order, as a single block would.  Returns (A, B, w) where ``w`` is
+    the sample's weight block when it fits in one block, else None.
+    """
+    K = u.size
+    col = np.searchsorted(u, times, side="left")
+    hit = events & (col < K)
+    B = np.zeros(K)
+    event_w = []
+    blocks = _blocks(times.size)
+    for sl in blocks:
+        w = weights_at(weights.subset(rows[sl]), u + offset)
+        ev = np.flatnonzero(hit[sl])
+        event_w.append(w[ev, col[sl][ev]])
+        # the running total heads the block so the column sum keeps sample order
+        block = np.empty((w.shape[0] + 1, K))
+        block[0] = B
+        np.multiply(w, times[sl, None] >= u, out=block[1:])
+        B = block.sum(axis=0)
+    A = np.bincount(col[hit], weights=np.concatenate(event_w), minlength=K)
+    return A, B, (w if len(blocks) == 1 else None)
+
+
+def _ipcw_loo(times, events, u, weights, rows, time_offset):
+    """IPCW survival exp(-weighted hazard) at the horizon plus leave-one-out values.
+
+    ``u`` are the distinct event times at or before the horizon; subject k
+    takes weight row ``rows[k]``, evaluated at ``u + time_offset``.  Removing
+    a subject drops its weight from both the event sum and the at-risk sum of
+    every term; a term whose risk set empties contributes nothing.  A first
+    pass accumulates the sums, a second computes each subject's leave-one-out
+    terms, both over the same blocks of subjects: memory O(block * len(u) + n).
+    """
+    A, B, w = _ipcw_sums(times, events, u, weights, rows, time_offset)
+    s_full = float(np.exp(-(A / B).sum()))
+    col = np.searchsorted(u, times, side="left")
+    own = events & (col < u.size)
+    s_loo = np.empty(times.size)
+    for sl in _blocks(times.size):
+        # a single block reuses the first pass's weights; several compute them again
+        wb = w if w is not None else weights_at(weights.subset(rows[sl]), u + time_offset)
+        ev = np.flatnonzero(own[sl])
+        ev_col = col[sl][ev]
+        ev_w = wb[ev, ev_col]
+        # in place: the weights become the leave-one-out at-risk sums, then the terms
+        np.multiply(wb, times[sl, None] >= u, out=wb)
+        np.subtract(B, wb, out=wb)
+        ev_den = wb[ev, ev_col]
+        pos = wb > 0
+        np.divide(A, wb, out=wb, where=pos)
+        np.copyto(wb, 0.0, where=~pos)
+        ok = ev_den > 0
+        wb[ev[ok], ev_col[ok]] = (A[ev_col[ok]] - ev_w[ok]) / ev_den[ok]
+        s_loo[sl] = np.exp(-wb.sum(axis=1))
+    return s_full, s_loo
+
+
+def pseudo_table_to_csv(table: PseudoTable, path) -> None:
+    """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo`` (see :func:`write_csv`)."""
+    J = table.n_intervals
+    covariates = [f"z_{k + 1}" for k in range(table.p)]
+    header = ["id", *covariates, *(f"d_{j}" for j in range(J)), "pseudo"]
+    onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
+    onehot_cells = [onehot[j] for j in table.time_index.tolist()]
+    write_csv(path, header, [table.subject_ids, *table.covariates.T, onehot_cells, table.pseudo])

@@ -461,3 +461,30 @@ class TestErrors:
         write_csv(src, [["t", "e"], ["1", "1"]])
         assert main(["transform", "--input", str(src),
                      "--output", str(tmp_path / "o.csv")]) == 2
+
+
+UNREADABLE = {
+    "directory": (lambda path: path.mkdir(), "Is a directory"),
+    "not utf-8": (lambda path: path.write_bytes(b"\xff\xfe1,1\n"), "can't decode byte 0xff"),
+    "huge field": (lambda path: path.write_text('"' + "9" * 200_000 + '",1\n'),
+                   "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("option", ["--input", "--predictions"])
+def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, kind, option):
+    make, reason = UNREADABLE[kind]
+    bad = tmp_path / "bad.csv"
+    make(bad)
+    good = tmp_path / "d.csv"
+    write_csv(good, [["time", "event"], ["1", "1"], ["2", "0"], ["3", "1"]])
+    if option == "--input":
+        argv = ["transform", "--input", str(bad), "--output", str(tmp_path / "o.csv")]
+    else:
+        argv = ["evaluate", "--input", str(good), "--predictions", str(bad),
+                "--output", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and reason in err
+    assert "Traceback" not in err

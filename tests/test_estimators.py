@@ -133,7 +133,7 @@ class TestWeightedNelsonAalen:
         d = simple([1, 2], [1, 1])
         bad = WeightFunction.constant(np.array([2.0, 1.0]), cap=np.inf)
         object.__setattr__(bad, "risk", np.array([np.nan, 0.0]))  # bypasses validation
-        # every block of weights is evaluated through the validating constructor
+        # the sample's weights pass through the validating constructor
         with pytest.raises(DataError, match="relative risks"):
             nelson_aalen_weighted(d, bad)
 

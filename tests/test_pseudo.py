@@ -11,6 +11,7 @@ from pseudosurv import (
     CoxSimSpec,
     DataError,
     Dataset,
+    PseudoTable,
     TimeGrid,
     WeightFunction,
     censoring_weights,
@@ -24,7 +25,7 @@ from pseudosurv import estimators
 from pseudosurv.pseudo import _loo_pseudo
 
 from conftest import random_censored_dataset, uncensored_dataset
-from oracles import pseudo_marginal_naive
+from oracles import pseudo_marginal_naive, pseudo_table_to_csv
 
 
 def simple(times, events, p=0):
@@ -214,7 +215,7 @@ def ipcw_pseudo_dense(data, grid, weights):
 class TestIpcwBlocks:
     @pytest.mark.parametrize("n", [7, 8, 9, 30])
     def test_blocked_matches_dense_formula(self, n, monkeypatch):
-        monkeypatch.setattr(estimators, "_CHUNK", 8)
+        monkeypatch.setattr(estimators, "_BLOCK_CELLS", 8)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             d = random_censored_dataset(rng, n, p=1, tie_prob=0.5)
@@ -309,3 +310,28 @@ class TestPseudoTableSerialization:
         for indicator, j in zip(table.time_indicators, table.time_index):
             assert indicator.sum() == 1.0
             assert indicator[j] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_csv_bytes_match_row_by_row_writer(self, tmp_path_factory, data):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 123456.5]
+        cell = st.one_of(st.sampled_from(special), st.floats(allow_nan=False, width=64))
+        p = data.draw(st.integers(0, 3))
+        J = data.draw(st.integers(1, 4))
+        # a subject's rows usually share its covariates; sometimes a row differs
+        subjects = data.draw(st.lists(st.lists(cell, min_size=p, max_size=p), min_size=1, max_size=6))
+        ids, tidx, cov = [], [], []
+        for sid, row in enumerate(subjects):
+            for j in range(data.draw(st.integers(1, J))):
+                ids.append(sid)
+                tidx.append(j)
+                cov.append(data.draw(st.lists(cell, min_size=p, max_size=p)) if data.draw(
+                    st.integers(0, 4)) == 0 else row)
+        n = len(ids)
+        table = PseudoTable(np.array(ids), np.array(cov, dtype=float).reshape(n, p), np.array(tidx),
+                            np.linspace(-0.5, 1.5, n), TimeGrid(np.arange(1.0, J + 1)),
+                            tuple(f"z_{k + 1}" for k in range(p)))
+        out = tmp_path_factory.mktemp("csv")
+        table.to_csv(out / "fast.csv")
+        pseudo_table_to_csv(table, out / "oracle.csv")
+        assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
