@@ -11,7 +11,6 @@ values attenuate beta, while IPCW pseudo values restore it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,23 +53,19 @@ def fit_gee(
     data: Dataset,
     grid: TimeGrid,
     ipcw: bool = False,
-    cap: float = 20.0,
-    censoring_covariates: Sequence[str] | None = None,
     max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> GeeModel:
     """Fit the pseudo-value regression on marginal pseudo values at the grid times.
 
-    With ``ipcw`` a Cox censoring model (all covariates unless a subset is
-    named) supplies the weights used inside the pseudo-value construction.
+    With ``ipcw`` a Cox censoring model on all covariates supplies the
+    weights (capped at 20) used inside the pseudo-value construction.
     The estimating equations (independence working correlation, identity
     variance) are solved by Gauss-Newton with step halving on the residual
     sum of squares; pseudo responses outside (0, 1) are used as-is.
     """
     weights = None
     if ipcw:
-        censor_model = fit_cox(data, target="censoring", covariates=censoring_covariates)
-        weights = censoring_weights(data, censor_model, cap=cap)
+        weights = censoring_weights(data, fit_cox(data, target="censoring"))
 
     n, p = len(data), data.p
     J = grid.n_intervals
@@ -108,10 +103,10 @@ def fit_gee(
             raise NumericError("gee did not converge")
         theta = theta + scale * delta
         current = candidate
-        if np.max(np.abs(scale * delta)) <= tol:
+        if np.max(np.abs(scale * delta)) <= 1e-8:
             return GeeModel(theta[:J], theta[J:], cuts)
     # On a large-residual fit Gauss-Newton can creep linearly with steps far
-    # above ``tol``.  Accept the last iterate where the score J'r is flat by
+    # above 1e-8.  Accept the last iterate where the score J'r is flat by
     # the relative-gradient test of Dennis & Schnabel (1983, sec. 7.2):
     # max |g_i| max(|theta_i|, 1) / max(f, 1) <= eps**(1/3), f = SSE / 2.
     jac, resid = linearize(theta)

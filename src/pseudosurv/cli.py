@@ -26,6 +26,7 @@ from .data import (
     Dataset,
     load_dataset,
     load_predictions,
+    read_json,
     save_dataset,
     split_dataset,
     write_csv,
@@ -54,6 +55,7 @@ from .sim import (
 from .util import derived_seed
 
 _COMMON = {"seed": 0, "threads": 0}
+_PATHS = ("input", "output", "model", "model_out", "out", "train_out", "test_out")
 _PSEUDO = {
     "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
     "grid_times": None,
@@ -63,62 +65,67 @@ _PSEUDO = {
     "drop_incomplete": False,
 }
 _SEARCH = {"budget": 20, "folds": 5, "epochs": 100, "batch_size": 256}
-_DEFAULTS = {
-    "transform": {**_PSEUDO, **_COMMON},
-    "train": {**_PSEUDO, **_SEARCH, **_COMMON},
-    "predict": {"drop_incomplete": False, **_COMMON},
-    "evaluate": {
-        "predictions": None,
-        "model": None,
-        "times": None,
-        "drop_incomplete": False,
-        **_COMMON,
-    },
-    "simulate": {
-        "study": "cox-dependent",
-        "replicates": 10,
-        "n": 2000,
-        "censoring_rate": 0.4,
-        "with_net": False,
-        "emit_data": False,
-        **_SEARCH,
-        **_COMMON,
-    },
-    "split": {"fraction": 0.75, **_COMMON},
-}
+# text options that a config file may also give as a JSON list, with the item type
+_LISTS = {"grid_percentiles": (int, float), "grid_times": (int, float), "times": (int, float),
+          "censor_covariates": str}
 
 
 def _parse_floats(value) -> np.ndarray:
-    """A number list: comma-separated text from a flag, or a list from a config file."""
-    if not isinstance(value, str):
-        return np.asarray(value, dtype=float)
+    """A finite number list: comma-separated text from a flag, or a list from a config file."""
+    parts = [part for part in value.split(",") if part.strip()] if isinstance(value, str) else value
     try:
-        return np.array([float(part) for part in value.split(",") if part.strip() != ""])
+        numbers = np.array([float(part) for part in parts])
+        if np.all(np.isfinite(numbers)):
+            return numbers
     except ValueError:
-        raise DataError(f"cannot parse number list {value!r}") from None
+        pass
+    raise DataError(f"cannot parse number list {value!r} as finite numbers")
+
+
+def _accepts(key: str, default, value) -> bool:
+    """Whether a config file may set option ``key``, whose default is ``default``, to ``value``."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(value, list) and key in _LISTS:
+        return all(isinstance(v, _LISTS[key]) and not isinstance(v, bool) for v in value)
+    return isinstance(value, str) or value is None and default is None
+
+
+def _read_config(path, command: str, defaults: dict) -> dict:
+    """The options a config file sets, each checked against its default."""
+    stored = read_json(path)
+    if not isinstance(stored, dict):
+        raise DataError(f"{path}: a config file must be a JSON object")
+    if stored.get("command") not in (None, command):
+        raise DataError(
+            f"{path}: config file is for command {stored['command']!r}, not {command!r}"
+        )
+    options = {k: v for k, v in stored.items() if k not in ("command", "version")}
+    for key, value in options.items():
+        if key not in defaults:
+            raise DataError(f"{path}: unknown key {key!r}")
+        if not _accepts(key, defaults[key], value):
+            raise DataError(f"{path}: {key} cannot be {json.dumps(value)} "
+                            f"(default {json.dumps(defaults[key])})")
+    return options
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
-    resolved = dict(_DEFAULTS[command])
-    resolved.update({k: None for k in ("input", "output", "model", "model_out",
-                                       "out", "train_out", "test_out") if k not in resolved})
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            stored = json.load(fh)
-        if stored.get("command") not in (None, command):
-            raise DataError(
-                f"config file is for command {stored.get('command')!r}, not {command!r}"
-            )
-        for key, value in stored.items():
-            if key not in ("command", "version"):
-                resolved[key] = value
+    *_, options = _COMMANDS[command]
+    resolved = {**dict.fromkeys(_PATHS), **options, **_COMMON}
+    if args.config:
+        resolved.update(_read_config(args.config, command, resolved))
     for key, value in vars(args).items():
         if key in ("command", "config", "func"):
             continue
         if value is not None:
             resolved[key] = value
-    if not resolved.get("threads"):
+    if not resolved["threads"]:
         resolved["threads"] = os.cpu_count() or 1
     return resolved
 
@@ -356,6 +363,8 @@ def cmd_simulate(resolved: dict) -> None:
     study = resolved["study"]
     if study not in ("aft", "cox-dependent", "cox-independent"):
         raise DataError("study must be aft, cox-dependent, or cox-independent")
+    if int(resolved["replicates"]) < 1:
+        raise DataError("replicates must be at least 1")
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     reps = list(range(int(resolved["replicates"])))
@@ -384,97 +393,48 @@ def cmd_simulate(resolved: dict) -> None:
     _write_config(resolved, "simulate", out_dir)
 
 
+# command: (help, handler, required path options, options with their defaults);
+# every command also takes --config and the _COMMON options
+_COMMANDS = {
+    "transform": ("build the pseudo-value table CSV", cmd_transform, ("input", "output"), _PSEUDO),
+    "train": ("hyperparameter search, fit, and persist the model", cmd_train,
+              ("input", "model_out"), {**_PSEUDO, **_SEARCH}),
+    "predict": ("per-subject conditional and marginal survival", cmd_predict,
+                ("model", "input", "output"), {"drop_incomplete": False}),
+    "evaluate": ("c-index and Brier score report", cmd_evaluate, ("input", "output"),
+                 {"predictions": None, "model": None, "times": None, "drop_incomplete": False}),
+    "simulate": ("run a synthetic study end to end", cmd_simulate, ("out",), {
+        "study": "cox-dependent",
+        "replicates": 10,
+        "n": 2000,
+        "censoring_rate": 0.4,
+        "with_net": False,
+        "emit_data": False,
+        **_SEARCH,
+    }),
+    "split": ("seeded train/test split of a dataset CSV", cmd_split,
+              ("input", "train_out", "test_out"), {"fraction": 0.75}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudosurv",
         description="Pseudo-value survival prediction: transform, train, predict, evaluate, simulate, split.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, handler, required, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="resolved-config JSON to replay")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, help="0 = all available cores")
-
-    def pseudo_flags(p):
-        p.add_argument("--grid-percentiles", dest="grid_percentiles")
-        p.add_argument("--grid-times", dest="grid_times")
-        p.add_argument("--ipcw", action="store_const", const=True)
-        p.add_argument("--censor-covariates", dest="censor_covariates")
-        p.add_argument("--weight-cap", dest="weight_cap", type=float)
-        p.add_argument(
-            "--drop-incomplete", dest="drop_incomplete", action="store_const", const=True
-        )
-
-    def search_flags(p):
-        p.add_argument("--budget", type=int)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-
-    p = sub.add_parser("transform", help="build the pseudo-value table CSV")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--output")
-    pseudo_flags(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("train", help="hyperparameter search, fit, and persist the model")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--model-out", dest="model_out")
-    pseudo_flags(p)
-    search_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="per-subject conditional and marginal survival")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--drop-incomplete", dest="drop_incomplete", action="store_const", const=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="c-index and Brier score report")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--model")
-    p.add_argument("--predictions")
-    p.add_argument("--times")
-    p.add_argument("--output")
-    p.add_argument("--drop-incomplete", dest="drop_incomplete", action="store_const", const=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("simulate", help="run a synthetic study end to end")
-    common(p)
-    p.add_argument("--study", choices=["aft", "cox-dependent", "cox-independent"])
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--censoring-rate", dest="censoring_rate", type=float)
-    p.add_argument("--with-net", dest="with_net", action="store_const", const=True)
-    p.add_argument("--emit-data", dest="emit_data", action="store_const", const=True)
-    search_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("split", help="seeded train/test split of a dataset CSV")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--train-out", dest="train_out")
-    p.add_argument("--test-out", dest="test_out")
-    p.add_argument("--fraction", type=float)
-    p.set_defaults(func=cmd_split)
+        for name, default in {**dict.fromkeys(required), **options, **_COMMON}.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=name, action="store_const", const=True)
+            else:
+                kind = type(default) if isinstance(default, (int, float)) else None
+                p.add_argument(flag, dest=name, type=kind)
+        p.set_defaults(func=handler)
     return parser
-
-
-_REQUIRED = {
-    "transform": ("input", "output"),
-    "train": ("input", "model_out"),
-    "predict": ("model", "input", "output"),
-    "evaluate": ("input", "output"),
-    "simulate": ("out",),
-    "split": ("input", "train_out", "test_out"),
-}
 
 
 def main(argv=None) -> int:
@@ -482,11 +442,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         resolved = _resolve(args.command, args)
-        for key in _REQUIRED[args.command]:
+        _, _, required, _ = _COMMANDS[args.command]
+        for key in required:
             if not resolved.get(key):
                 raise DataError(f"missing required option --{key.replace('_', '-')}")
         args.func(resolved)
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:

@@ -157,7 +157,7 @@ def censoring_weights(data: Dataset, model: CoxModel, cap: float = 20.0) -> Weig
     same weight function is meant to be built once on the training split and
     reused everywhere weights are needed.
     """
-    if cap <= 1.0:
+    if not cap > 1.0:
         raise DataError("weight cap must exceed 1")
     if model.target != "censoring":
         raise DataError("model must be fit with target='censoring'")

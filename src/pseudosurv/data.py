@@ -143,6 +143,16 @@ def write_csv(path, header, columns) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
+def read_json(path):
+    """The JSON document in ``path``.  A file that cannot be opened, decoded or
+    parsed raises a DataError naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
+
+
 def write_json(path, payload, **options) -> None:
     """Write one JSON document plus a final newline."""
     with open(path, "w") as fh:

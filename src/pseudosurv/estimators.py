@@ -211,12 +211,6 @@ class WeightFunction:
         idx = np.searchsorted(self.times, np.ravel(np.asarray(u, dtype=float)), side="left")
         return np.concatenate(([0.0], self.cumhaz))[idx]
 
-    def survival_at_left(self, u) -> np.ndarray:
-        """G(u- | Z_i) for every subject: shape (n,) or (n, len(u))."""
-        lam = self._cumhaz_left(u)
-        g = _survival_into(np.empty((self.risk.size, lam.size)), self.risk, lam)
-        return g[:, 0] if np.ndim(u) == 0 else g
-
     def weights_at(self, u) -> np.ndarray:
         """Capped IPCW weights min(1/G(u-), cap) for every subject at ``u``.
 

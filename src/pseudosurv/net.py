@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, write_json
+from .data import Dataset, read_json, write_json
 from .errors import DataError, NumericError
 from .estimators import WeightFunction
 from .metrics import EvalReport, c_index, evaluate_predictions
@@ -568,21 +567,24 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a model file must be a JSON object")
     version = payload.get("format_version")
     if version not in (1, 2):
         raise DataError(f"unsupported model format version: {version!r}")
-    config = MlpConfig(**{f.name: payload["config"][f.name] for f in fields(MlpConfig)})
     names = payload.get("covariate_names")
-    return MlpModel(
-        config=config,
-        cutpoints=np.asarray(payload["cutpoints"], dtype=float),
-        covariate_mean=np.asarray(payload["covariate_mean"], dtype=float),
-        covariate_std=np.asarray(payload["covariate_std"], dtype=float),
-        weights=[np.asarray(w, dtype=float) for w in payload["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in payload["biases"]],
-        training_log=list(payload.get("training_log", [])),
-        weight_norm_log=list(payload.get("weight_norm_log", [])),
-        covariate_names=None if names is None else tuple(names),
-    )
+    try:
+        return MlpModel(
+            config=MlpConfig(**{f.name: payload["config"][f.name] for f in fields(MlpConfig)}),
+            cutpoints=np.asarray(payload["cutpoints"], dtype=float),
+            covariate_mean=np.asarray(payload["covariate_mean"], dtype=float),
+            covariate_std=np.asarray(payload["covariate_std"], dtype=float),
+            weights=[np.asarray(w, dtype=float) for w in payload["weights"]],
+            biases=[np.asarray(b, dtype=float) for b in payload["biases"]],
+            training_log=list(payload.get("training_log", [])),
+            weight_norm_log=list(payload.get("weight_norm_log", [])),
+            covariate_names=None if names is None else tuple(names),
+        )
+    except KeyError as exc:
+        raise DataError(f"{path}: model file has no {exc.args[0]!r}") from None

@@ -165,10 +165,6 @@ def make_grid(
         if q.size == 0 or np.any(q <= 0) or np.any(q >= 1) or np.any(np.diff(q) <= 0):
             raise DataError("quantile levels must be strictly increasing in (0, 1)")
         cuts = np.unique(np.quantile(data.time, q))
-        if cuts.size == 0:
-            raise DataError("grid is empty after deduplication")
-        if cuts[0] <= 0:
-            raise DataError("grid cutpoints must be positive")
     else:
         cuts = np.asarray(times, dtype=float)
     if cuts.size and cuts[-1] >= data.time.max():

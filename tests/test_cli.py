@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -472,19 +473,170 @@ UNREADABLE = {
 
 
 @pytest.mark.parametrize("kind", sorted(UNREADABLE))
-@pytest.mark.parametrize("option", ["--input", "--predictions"])
+@pytest.mark.parametrize("option", ["--input", "--predictions", "--config", "--model"])
 def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, kind, option):
     make, reason = UNREADABLE[kind]
+    if option in ("--config", "--model") and kind == "huge field":
+        reason = "Extra data"  # JSON files have no field limit; the text after the string is bad
     bad = tmp_path / "bad.csv"
     make(bad)
     good = tmp_path / "d.csv"
     write_csv(good, [["time", "event"], ["1", "1"], ["2", "0"], ["3", "1"]])
-    if option == "--input":
-        argv = ["transform", "--input", str(bad), "--output", str(tmp_path / "o.csv")]
-    else:
-        argv = ["evaluate", "--input", str(good), "--predictions", str(bad),
-                "--output", str(tmp_path / "r.csv")]
+    argv = {
+        "--input": ["transform", "--input", str(bad), "--output", str(tmp_path / "o.csv")],
+        "--predictions": ["evaluate", "--input", str(good), "--predictions", str(bad),
+                          "--output", str(tmp_path / "r.csv")],
+        "--config": ["transform", "--config", str(bad)],
+        "--model": ["predict", "--model", str(bad), "--input", str(good),
+                    "--output", str(tmp_path / "p.csv")],
+    }[option]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and reason in err
+    assert "Traceback" not in err
+
+
+# Every flag each subcommand takes and every key its config.json holds.
+PATH_KEYS = ["input", "model", "model_out", "out", "output", "test_out", "train_out"]
+PSEUDO_FLAGS = ["--censor-covariates", "--drop-incomplete", "--grid-percentiles",
+                "--grid-times", "--ipcw", "--weight-cap"]
+PSEUDO_KEYS = ["censor_covariates", "drop_incomplete", "grid_percentiles", "grid_times", "ipcw",
+               "weight_cap"]
+SEARCH_FLAGS = ["--batch-size", "--budget", "--epochs", "--folds"]
+SEARCH_KEYS = ["batch_size", "budget", "epochs", "folds"]
+COMMON_FLAGS = ["--config", "--help", "--seed", "--threads"]
+COMMON_KEYS = ["command", "seed", "version"]
+CONTRACT = {
+    "transform": (["--input", "--output", *PSEUDO_FLAGS], PSEUDO_KEYS),
+    "train": (["--input", "--model-out", *PSEUDO_FLAGS, *SEARCH_FLAGS], PSEUDO_KEYS + SEARCH_KEYS),
+    "predict": (["--drop-incomplete", "--input", "--model", "--output"], ["drop_incomplete"]),
+    "evaluate": (["--drop-incomplete", "--input", "--model", "--output", "--predictions",
+                  "--times"], ["drop_incomplete", "predictions", "times"]),
+    "simulate": (["--censoring-rate", "--emit-data", "--n", "--out", "--replicates", "--study",
+                  "--with-net", *SEARCH_FLAGS],
+                 ["censoring_rate", "emit_data", "n", "replicates", "study", "with_net",
+                  *SEARCH_KEYS]),
+    "split": (["--fraction", "--input", "--test-out", "--train-out"], ["fraction"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT))
+def test_flag_set_is_pinned(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == set(CONTRACT[command][0] + COMMON_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("replay_inputs")
+    save_dataset(gen_cox(CoxSimSpec(n=200, dependent_censoring=True, seed=31)), root / "data.csv")
+    assert main(["train", "--input", str(root / "data.csv"),
+                 "--model-out", str(root / "model.json"), "--budget", "1", "--folds", "2",
+                 "--epochs", "3", "--seed", "2", "--threads", "1"]) == 0
+    return root
+
+
+# command: arguments, with {in} for the inputs and {out} for the output directory
+REPLAYS = {
+    "transform": ["--input", "{in}/data.csv", "--output", "{out}/pseudo.csv", "--ipcw",
+                  "--grid-percentiles", "0.2,0.5"],
+    "train": ["--input", "{in}/data.csv", "--model-out", "{out}/model.json", "--budget", "1",
+              "--folds", "2", "--epochs", "3", "--seed", "5"],
+    "predict": ["--model", "{in}/model.json", "--input", "{in}/data.csv",
+                "--output", "{out}/pred.csv"],
+    "evaluate": ["--model", "{in}/model.json", "--input", "{in}/data.csv",
+                 "--output", "{out}/report.csv", "--times", "0.5,1"],
+    "simulate": ["--study", "aft", "--replicates", "1", "--n", "200", "--budget", "1",
+                 "--folds", "2", "--epochs", "2", "--seed", "4", "--out", "{out}/study"],
+    "split": ["--input", "{in}/data.csv", "--train-out", "{out}/train.csv",
+              "--test-out", "{out}/test.csv", "--seed", "8"],
+}
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYS))
+def test_config_replay_is_byte_identical(tmp_path, replay_inputs, command):
+    # threads is not stored in config.json: results do not depend on it
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(**{"in": replay_inputs, "out": out}) for arg in REPLAYS[command]]
+    assert main([command, *argv, "--threads", "1"]) == 0
+    first = _tree(out)
+    (config,) = out.rglob("*config.json")
+    stored = json.loads(config.read_text())
+    assert sorted(stored) == sorted(PATH_KEYS + COMMON_KEYS + CONTRACT[command][1])
+    replay = tmp_path / "replay.json"
+    replay.write_bytes(config.read_bytes())
+    for path in out.rglob("*"):
+        if path.is_file():
+            path.unlink()
+    assert main([command, "--config", str(replay), "--threads", "1"]) == 0
+    assert _tree(out) == first
+
+
+# config file contents that exit 2 naming the file: (command, contents, message)
+BAD_CONFIGS = {
+    "not an object": ("train", [1], "a config file must be a JSON object"),
+    "unknown key": ("train", {"epoch": 1}, "unknown key 'epoch'"),
+    "null integer": ("train", {"budget": None}, "budget cannot be null"),
+    "text integer": ("train", {"budget": "abc"}, 'budget cannot be "abc"'),
+    "bool integer": ("train", {"budget": True}, "budget cannot be true"),
+    "bool number": ("transform", {"weight_cap": False}, "weight_cap cannot be false"),
+    "null text": ("transform", {"grid_percentiles": None}, "grid_percentiles cannot be null"),
+    "text in number list": ("transform", {"grid_percentiles": ["a"]},
+                            'grid_percentiles cannot be ["a"]'),
+    "list for a path": ("transform", {"input": ["x"], "output": "o.csv"}, 'input cannot be ["x"]'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_naming_file_and_key(tmp_path, capsys, case):
+    command, contents, message = BAD_CONFIGS[case]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(contents))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+
+
+# arguments, with {d} for a directory holding data.csv, an empty directory dir
+# and two malformed models, and the text the error must hold
+HOSTILE = {
+    "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
+                                    "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
+    "split train-out directory": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/dir",
+                                   "--test-out", "{d}/te.csv"], "Is a directory: '{d}/dir'"),
+    "model not an object": (["predict", "--model", "{d}/list.json", "--input", "{d}/data.csv",
+                             "--output", "{d}/p.csv"],
+                            "{d}/list.json: a model file must be a JSON object"),
+    "model without config": (["predict", "--model", "{d}/v2.json", "--input", "{d}/data.csv",
+                              "--output", "{d}/p.csv"], "{d}/v2.json: model file has no 'config'"),
+    "zero replicates": (["simulate", "--replicates", "0", "--out", "{d}/study"],
+                        "replicates must be at least 1"),
+    "nan grid time": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
+                       "--grid-times", "nan"], "cannot parse number list 'nan'"),
+    "nan grid percentile": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
+                             "--grid-percentiles", "0.2,nan"],
+                            "cannot parse number list '0.2,nan'"),
+    "nan weight cap": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv", "--ipcw",
+                        "--weight-cap", "nan"], "weight cap must exceed 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_invocation_exits_2(tmp_path, capsys, case):
+    args, message = HOSTILE[case]
+    (tmp_path / "dir").mkdir()
+    write_csv(tmp_path / "data.csv", [["time", "event", "z_1"], ["1", "1", "0.5"], ["2", "0", "-1"],
+                                      ["3", "1", "0.2"], ["4", "1", "1.1"], ["5", "0", "0.3"]])
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "v2.json").write_text('{"format_version": 2}')
+    assert main([arg.format(d=tmp_path) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(d=tmp_path) in err
     assert "Traceback" not in err

@@ -200,9 +200,9 @@ class TestWeightFunction:
     def test_per_subject_curves(self):
         # every subject's curve is the baseline raised to its own relative risk
         w = WeightFunction(np.array([1.0, 2.0]), np.array([0.1, 0.7]), np.array([1.0, 2.0]), 20.0)
-        g = w.survival_at_left(np.array([1.5, 2.5]))
-        assert g[1, 0] == np.exp(-0.2) and g[1, 1] == np.exp(-1.4)
-        assert g[0, 1] == np.exp(-0.7)
+        weights = w.weights_at(np.array([1.5, 2.5]))
+        assert weights[1, 0] == 1 / np.exp(-0.2) and weights[1, 1] == 1 / np.exp(-1.4)
+        assert weights[0, 1] == 1 / np.exp(-0.7)
 
     def test_weights_equal_dense_construction(self, rng):
         times = np.cumsum(rng.uniform(0.1, 1.0, 40))

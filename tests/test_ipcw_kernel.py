@@ -81,7 +81,6 @@ class TestAgainstOracleKernel:
             u = np.concatenate(([0.0], weights.times, weights.times + 1e-3, [d.time.max()]))
             assert same_bytes(weights.weights_at(u), oracles.weights_at(weights, u))
             assert same_bytes(weights.weights_at(1.0), oracles.weights_at(weights, 1.0))
-            assert same_bytes(weights.survival_at_left(u), oracles.survival_at_left(weights, u))
 
             fast = nelson_aalen_weighted(d, weights)
             slow = with_oracle_kernel(nelson_aalen_weighted, d, weights)
