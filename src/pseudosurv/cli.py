@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -264,99 +265,49 @@ def _scores(label: str, report) -> dict:
     }
 
 
-def _cox_scores(train_data: Dataset, test_data: Dataset, grid) -> dict:
-    """The linear Cox baseline scored on the test data at the grid cutpoints."""
-    cox_model = fit_cox(train_data, target="event")
-    pred = cox_predict_survival(cox_model, test_data.covariates, grid.cutpoints)
-    return _scores("cox", evaluate_predictions(test_data, pred, grid.cutpoints))
+def _replicate(resolved: dict, rep: int) -> dict:
+    """One row of a study: its data, the GEE coefficients (cox studies) and the test scores.
 
-
-def _search_args(resolved: dict) -> dict:
-    return {
-        "configs": default_grid(
-            epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"])
-        ),
-        "k": int(resolved["folds"]),
-        "budget": int(resolved["budget"]),
-        "n_jobs": int(resolved["threads"]),
-    }
-
-
-def _simulate_cox_replicate(resolved: dict, rep: int) -> dict:
-    seed = int(resolved["seed"])
-    dependent = resolved["study"] == "cox-dependent"
-    spec_kwargs = dict(n=int(resolved["n"]), dependent_censoring=dependent)
-    if not dependent:
-        spec_kwargs["censoring_rate"] = float(resolved["censoring_rate"])
-    spec = CoxSimSpec(seed=derived_seed(seed, "cox-train", rep), **spec_kwargs)
-    train_data, info = gen_cox(spec, return_info=True)
+    Every draw derives from the study seed, a fixed label and ``rep``, so rows
+    do not depend on the order or the process they are computed in.
+    """
+    seed, study = int(resolved["seed"]), resolved["study"]
+    n, rate = int(resolved["n"]), float(resolved["censoring_rate"])
+    if study == "aft":
+        spec = FriedmanSpec(n=n, censoring_rate=rate, seed=derived_seed(seed, "aft", rep))
+        data, info = gen_friedman_aft(spec, return_info=True)
+    else:
+        spec = CoxSimSpec(n=n, dependent_censoring=study == "cox-dependent", censoring_rate=rate,
+                          seed=derived_seed(seed, "cox-train", rep))
+        data, info = gen_cox(spec, return_info=True)
     if resolved["emit_data"]:
-        write_dataset_with_metadata(
-            train_data, info, Path(resolved["out"]) / f"replicate_{rep}_data.csv"
-        )
-    grid = make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
-    gee = fit_gee(train_data, grid, ipcw=False)
-    gee_ipcw = fit_gee(train_data, grid, ipcw=True)
-    row = {
-        "replicate": rep,
-        "censoring_rate": float(1.0 - train_data.event.mean()),
-        "beta_gee": float(gee.beta[0]),
-        "beta_gee_ipcw": float(gee_ipcw.beta[0]),
-    }
-    if resolved["with_net"]:
-        row.update(_net_comparison_cox(resolved, rep, train_data, grid))
-    return row
-
-
-def _net_comparison_cox(resolved: dict, rep: int, train_data: Dataset, grid) -> dict:
-    seed = int(resolved["seed"])
-    test_data = gen_cox(
-        CoxSimSpec(
-            n=int(resolved["n"]),
-            dependent_censoring=resolved["study"] == "cox-dependent",
-            censoring_rate=float(resolved["censoring_rate"]),
-            seed=derived_seed(seed, "cox-test", rep),
-        )
-    )
-    ipcw_weights = censoring_weights(train_data, fit_cox(train_data, target="censoring"))
-    search = _search_args(resolved)
-    out: dict = {}
-    for label, weights in (("net", None), ("net_ipcw", ipcw_weights)):
+        write_dataset_with_metadata(data, info, Path(resolved["out"]) / f"replicate_{rep}_data.csv")
+    row = {"replicate": rep, "censoring_rate": float(1.0 - data.event.mean())}
+    if study == "aft":
+        train_data, test_data = split_dataset(data, 0.75, seed=derived_seed(seed, "aft-split", rep))
+        grid = make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        runs = [("net", None, "aft-net")]
+    else:
+        train_data = data
+        grid = make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
+        row["beta_gee"] = float(fit_gee(train_data, grid, ipcw=False).beta[0])
+        row["beta_gee_ipcw"] = float(fit_gee(train_data, grid, ipcw=True).beta[0])
+        if not resolved["with_net"]:
+            return row
+        test_data = gen_cox(replace(spec, seed=derived_seed(seed, "cox-test", rep)))
+        ipcw = censoring_weights(train_data, fit_cox(train_data, target="censoring"))
+        runs = [("net", None, "net"), ("net_ipcw", ipcw, "net_ipcw")]
+    configs = default_grid(epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]))
+    for label, weights, seed_label in runs:
         _, report = fit_and_evaluate(
-            train_data, test_data, grid, weights=weights, seed=derived_seed(seed, label, rep),
-            **search,
+            train_data, test_data, grid, configs, weights=weights, k=int(resolved["folds"]),
+            budget=int(resolved["budget"]), seed=derived_seed(seed, seed_label, rep),
+            n_jobs=int(resolved["threads"]),
         )
-        out.update(_scores(label, report))
-    out.update(_cox_scores(train_data, test_data, grid))
-    return out
-
-
-def _simulate_aft_replicate(resolved: dict, rep: int) -> dict:
-    seed = int(resolved["seed"])
-    data, info = gen_friedman_aft(
-        FriedmanSpec(
-            n=int(resolved["n"]),
-            censoring_rate=float(resolved["censoring_rate"]),
-            seed=derived_seed(seed, "aft", rep),
-        ),
-        return_info=True,
-    )
-    if resolved["emit_data"]:
-        write_dataset_with_metadata(
-            data, info, Path(resolved["out"]) / f"replicate_{rep}_data.csv"
-        )
-    train_data, test_data = split_dataset(data, 0.75, seed=derived_seed(seed, "aft-split", rep))
-    grid = make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    _, report_net = fit_and_evaluate(
-        train_data, test_data, grid, seed=derived_seed(seed, "aft-net", rep),
-        **_search_args(resolved),
-    )
-    return {
-        "replicate": rep,
-        "censoring_rate": float(1.0 - data.event.mean()),
-        **_scores("net", report_net),
-        **_cox_scores(train_data, test_data, grid),
-    }
+        row.update(_scores(label, report))
+    cox_pred = cox_predict_survival(fit_cox(train_data), test_data.covariates, grid.cutpoints)
+    row.update(_scores("cox", evaluate_predictions(test_data, cox_pred, grid.cutpoints)))
+    return row
 
 
 def cmd_simulate(resolved: dict) -> None:
@@ -365,21 +316,23 @@ def cmd_simulate(resolved: dict) -> None:
         raise DataError("study must be aft, cox-dependent, or cox-independent")
     if int(resolved["replicates"]) < 1:
         raise DataError("replicates must be at least 1")
+    if study == "cox-independent" and float(resolved["censoring_rate"]) == 0:
+        raise DataError("--censoring-rate must be above 0: "
+                        "the cox-independent study models censoring")
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     reps = list(range(int(resolved["replicates"])))
-    worker = _simulate_aft_replicate if study == "aft" else _simulate_cox_replicate
     threads = int(resolved["threads"])
     if threads > 1 and len(reps) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # replicates take the worker processes; searches inside each run serial.
         # Each replicate derives its own randomness, so rows match at any count.
-        inner = functools.partial(worker, dict(resolved, threads=1))
+        inner = functools.partial(_replicate, dict(resolved, threads=1))
         with ProcessPoolExecutor(max_workers=min(threads, len(reps))) as pool:
             rows = list(pool.map(inner, reps))
     else:
-        rows = [worker(resolved, rep) for rep in reps]
+        rows = [_replicate(resolved, rep) for rep in reps]
 
     columns = list(rows[0].keys())
     values = {c: np.array([row[c] for row in rows]) for c in columns}

@@ -88,13 +88,12 @@ def fit_cox(
     target: str = "event",
     covariates: Sequence[str] | None = None,
     max_iter: int = 50,
-    tol: float = 1e-8,
 ) -> CoxModel:
     """Fit a Cox model to the event or censoring indicator.
 
     ``target='censoring'`` flips the indicator before fitting, so the model
     describes the censoring time distribution.  Convergence requires the
-    gradient sup-norm to fall below ``tol``; each Newton step is halved until
+    gradient sup-norm to fall below 1e-8; each Newton step is halved until
     the partial log-likelihood does not decrease.
     """
     if target not in ("event", "censoring"):
@@ -116,7 +115,7 @@ def fit_cox(
     path = [ll]
     converged = False
     for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= 1e-8:
             converged = True
             break
         try:
@@ -134,7 +133,7 @@ def fit_cox(
         beta = beta + scale * step
         ll, grad, hess = ll_new, grad_new, hess_new
         path.append(ll)
-    if not converged and np.max(np.abs(grad)) > tol:
+    if not converged and np.max(np.abs(grad)) > 1e-8:
         raise NumericError("cox did not converge")
 
     # Breslow baseline at the converged (centered) coefficients.

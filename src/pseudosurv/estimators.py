@@ -35,7 +35,7 @@ class StepSurvivalCurve:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or values.shape != times.shape:
             raise DataError("curve times and values must be 1-d and equal length")
-        if times.size and np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise DataError("curve times must be strictly increasing")
         times.setflags(write=False)
         values.setflags(write=False)
@@ -45,7 +45,7 @@ class StepSurvivalCurve:
 
     def _eval(self, t, side: str):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        if not np.all(t_arr >= 0):
             raise DataError("evaluation time must be nonnegative")
         idx = np.searchsorted(self.times, t_arr, side=side) - 1
         if self.times.size:
@@ -177,13 +177,13 @@ class WeightFunction:
         risk = np.asarray(self.risk, dtype=float)
         if times.ndim != 1 or cumhaz.shape != times.shape or risk.ndim != 1:
             raise DataError("weight times and cumhaz must be 1-d and equal length, risk 1-d")
-        if times.size and np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise DataError("weight times must be strictly increasing")
         if not (np.all(np.isfinite(cumhaz)) and np.all(cumhaz >= 0)):
             raise DataError("baseline cumulative hazard must be finite and nonnegative")
         if not (np.all(np.isfinite(risk)) and np.all(risk >= 0)):
             raise DataError("relative risks must be finite and nonnegative")
-        if self.cap <= 0:
+        if not self.cap > 0:
             raise DataError("weight cap must be positive")
         for arr in (times, cumhaz, risk):
             arr.setflags(write=False)

@@ -442,8 +442,7 @@ def _score_config(config_idx: int) -> tuple[int, float]:
         held_data = ctx["data"].subset(held)
         pred = predict_survival(model, held_data.covariates, ctx["times"])
         values, _ = c_index(held_data, pred, ctx["times"])
-        score = float(np.nanmean(values)) if not np.all(np.isnan(values)) else -np.inf
-        fold_scores.append(score)
+        fold_scores.append(float(np.nanmean(values)))
     return config_idx, float(np.mean(fold_scores))
 
 
@@ -468,13 +467,21 @@ def grid_search(
     the config's hyperparameter content and the fold, so scores do not depend
     on grid order or on ``n_jobs`` (configs are scored in worker processes
     when ``n_jobs`` exceeds one).  With ``return_scores`` the per-config CV
-    scores come back as a third value, keyed by grid index.
+    scores come back as a third value, keyed by grid index.  A fold whose
+    subjects hold no comparable pair at ``eval_times`` raises DataError.
     """
     grid = list(grid)
     if budget > len(grid) or budget < 1:
         raise DataError("budget must be in 1..len(grid)")
     subjects = table.subjects()
     folds = make_cv_folds(subjects, k, seed)
+    times = np.asarray(eval_times.cutpoints, dtype=float)
+    for fold, held in enumerate(folds):
+        # pairs depend on the data only: a fold without one scores no config
+        _, pairs = c_index(data.subset(held), np.zeros((held.size, times.size)), times)
+        if not pairs.any():
+            raise DataError(f"CV fold {fold} has no comparable pair at the grid times; "
+                            "use fewer folds")
 
     sample_rng = derived_rng(seed, "config-sample")
     chosen = np.sort(sample_rng.choice(len(grid), size=budget, replace=False))
@@ -485,7 +492,7 @@ def grid_search(
         "data": data,
         "folds": folds,
         "subjects": subjects,
-        "times": np.asarray(eval_times.cutpoints, dtype=float),
+        "times": times,
         "seed": seed,
     }
     scores: dict[int, float] = {}
@@ -508,12 +515,8 @@ def grid_search(
         finally:
             _set_search_context(None)
 
-    best_idx, best_score = None, -np.inf
-    for ci in chosen:
-        if scores[int(ci)] > best_score:
-            best_idx, best_score = int(ci), scores[int(ci)]
-
-    best = grid[best_idx]
+    # max keeps the first of equal scores, and chosen is in grid order
+    best = grid[max((int(ci) for ci in chosen), key=scores.__getitem__)]
     refit_seed = derived_seed(seed, best.content_key(), "refit")
     final_config = replace(best, seed=refit_seed)
     model = train(table, final_config)
@@ -575,9 +578,9 @@ def load_model(path) -> MlpModel:
         raise DataError(f"unsupported model format version: {version!r}")
     names = payload.get("covariate_names")
     try:
-        return MlpModel(
+        model = MlpModel(
             config=MlpConfig(**{f.name: payload["config"][f.name] for f in fields(MlpConfig)}),
-            cutpoints=np.asarray(payload["cutpoints"], dtype=float),
+            cutpoints=TimeGrid(payload["cutpoints"]).cutpoints,
             covariate_mean=np.asarray(payload["covariate_mean"], dtype=float),
             covariate_std=np.asarray(payload["covariate_std"], dtype=float),
             weights=[np.asarray(w, dtype=float) for w in payload["weights"]],
@@ -588,3 +591,15 @@ def load_model(path) -> MlpModel:
         )
     except KeyError as exc:
         raise DataError(f"{path}: model file has no {exc.args[0]!r}") from None
+    except (DataError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file: {exc}") from None
+    # the input layer takes the covariates and the one-hot of the interval
+    p, hidden = model.p, list(model.config.hidden_layers)
+    sizes = [p + model.n_intervals, *hidden, 1]
+    if ([w.shape for w in model.weights] != list(zip(sizes, sizes[1:]))
+            or [b.shape for b in model.biases] != [(size,) for size in sizes[1:]]
+            or model.covariate_std.shape != (p,)
+            or model.covariate_names is not None and len(model.covariate_names) != p):
+        raise DataError(f"{path}: model arrays do not fit {p} covariates, "
+                        f"{model.n_intervals} intervals and hidden layers {hidden}")
+    return model

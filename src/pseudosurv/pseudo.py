@@ -38,9 +38,9 @@ class TimeGrid:
         cuts = np.asarray(self.cutpoints, dtype=float)
         if cuts.ndim != 1 or cuts.size == 0:
             raise DataError("grid needs at least one cutpoint")
-        if np.any(cuts <= 0):
+        if not np.all(cuts > 0):
             raise DataError("grid cutpoints must be positive")
-        if np.any(np.diff(cuts) <= 0):
+        if not np.all(np.diff(cuts) > 0):
             raise DataError("grid cutpoints must be strictly increasing")
         cuts.setflags(write=False)
         object.__setattr__(self, "cutpoints", cuts)
@@ -162,7 +162,7 @@ def make_grid(
         raise DataError("specify exactly one of percentiles or times")
     if percentiles is not None:
         q = np.asarray(percentiles, dtype=float)
-        if q.size == 0 or np.any(q <= 0) or np.any(q >= 1) or np.any(np.diff(q) <= 0):
+        if q.size == 0 or not (np.all((q > 0) & (q < 1)) and np.all(np.diff(q) > 0)):
             raise DataError("quantile levels must be strictly increasing in (0, 1)")
         cuts = np.unique(np.quantile(data.time, q))
     else:
@@ -290,7 +290,7 @@ def pseudo_marginal(data: Dataset, t: float, weights: WeightFunction | None = No
     """
     if len(data) < 2:
         raise DataError("pseudo values need at least two subjects")
-    if t <= 0:
+    if not t > 0:
         raise DataError("time point must be positive")
     if weights is not None and weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")

@@ -19,6 +19,8 @@ from .errors import DataError, NumericError
 from .util import derived_rng
 
 _CALIBRATION_DRAWS = 200_000
+# the nonlinear AFT design: covariates, Gaussian bumps, and Var(mu) / Var(eps)
+_AFT_P, _AFT_TERMS, _AFT_SNR = 20, 10, 3.0
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,12 @@ class FriedmanSpec:
     n: int
     censoring_rate: float = 0.4
     seed: int = 0
-    p: int = 20
-    n_terms: int = 10
-    snr: float = 3.0
 
     def __post_init__(self):
         if self.n < 1:
             raise DataError("n must be positive")
         if not 0.0 < self.censoring_rate < 1.0:
             raise DataError("censoring_rate must be in (0, 1)")
-        if self.snr <= 0:
-            raise DataError("snr must be positive")
-        if self.p < 1 or self.n_terms < 1:
-            raise DataError("p and n_terms must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ class CoxSimSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DataError("n must be positive")
-        if self.base_hazard <= 0:
+        if not self.base_hazard > 0:
             raise DataError("base_hazard must be positive")
         if not 0.0 <= self.censoring_rate < 1.0:
             raise DataError("censoring_rate must be in [0, 1)")
@@ -78,7 +73,7 @@ def calibrate_censoring(survival_times, target_rate: float) -> float:
     sample: no fresh censoring draws are needed.
     """
     x = np.asarray(survival_times, dtype=float)
-    if x.size == 0 or np.any(x <= 0):
+    if x.size == 0 or not np.all(x > 0):
         raise DataError("survival times must be positive")
     if not 0.0 < target_rate < 1.0:
         raise DataError("target_rate must be in (0, 1)")
@@ -143,24 +138,24 @@ def gen_friedman_aft(spec: FriedmanSpec, return_info: bool = False):
     """Generate the nonlinear AFT design.
 
     The mean function is rescaled on the generated sample so the empirical
-    variance ratio Var(mu)/Var(eps) equals ``snr`` with Var(eps) = 2 taken
+    variance ratio Var(mu)/Var(eps) equals ``_AFT_SNR`` with Var(eps) = 2 taken
     analytically.  Censoring is exponential with the rate calibrated on a
     separate large Monte Carlo sample from the same random function.
     """
     rng = derived_rng(spec.seed, "friedman-aft")
-    terms = _gaussian_bumps(rng, spec.p, spec.n_terms)
+    terms = _gaussian_bumps(rng, _AFT_P, _AFT_TERMS)
 
-    Z = rng.standard_normal((spec.n, spec.p))
+    Z = rng.standard_normal((spec.n, _AFT_P))
     mu_raw = _bump_mean(terms, Z)
     eps = rng.gamma(2.0, 1.0, size=spec.n)
     var_raw = float(np.var(mu_raw))
     if var_raw <= 0:
         raise NumericError("degenerate mean function: zero variance")
-    scale = float(np.sqrt(spec.snr * 2.0 / var_raw))
+    scale = float(np.sqrt(_AFT_SNR * 2.0 / var_raw))
     mu = scale * mu_raw
     x = np.exp(mu + eps)
 
-    z_cal = rng.standard_normal((_CALIBRATION_DRAWS, spec.p))
+    z_cal = rng.standard_normal((_CALIBRATION_DRAWS, _AFT_P))
     eps_cal = rng.gamma(2.0, 1.0, size=_CALIBRATION_DRAWS)
     x_cal = np.exp(scale * _bump_mean(terms, z_cal) + eps_cal)
     rate = calibrate_censoring(x_cal, spec.censoring_rate)
@@ -168,7 +163,7 @@ def gen_friedman_aft(spec: FriedmanSpec, return_info: bool = False):
     c = rng.exponential(1.0 / rate, size=spec.n)
     time = np.minimum(x, c)
     event = x <= c
-    names = tuple(f"z_{k + 1}" for k in range(spec.p))
+    names = tuple(f"z_{k + 1}" for k in range(_AFT_P))
     data = Dataset(time, event, Z, names)
     if not return_info:
         return data
@@ -176,9 +171,9 @@ def gen_friedman_aft(spec: FriedmanSpec, return_info: bool = False):
         "design": "friedman-aft",
         "seed": spec.seed,
         "n": spec.n,
-        "p": spec.p,
-        "n_terms": spec.n_terms,
-        "snr_target": spec.snr,
+        "p": _AFT_P,
+        "n_terms": _AFT_TERMS,
+        "snr_target": _AFT_SNR,
         "snr_achieved": float(np.var(mu) / np.var(eps)),
         "censoring_rate_target": spec.censoring_rate,
         "censoring_rate_achieved": float(1.0 - event.mean()),

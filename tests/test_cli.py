@@ -2,12 +2,15 @@ import csv
 import json
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from pseudosurv import gen_cox, CoxSimSpec, Dataset, save_dataset, load_dataset, DataError
+import pseudosurv as ps
 from pseudosurv.cli import main
+from pseudosurv.util import derived_seed
 
 
 def write_csv(path, rows):
@@ -384,11 +387,20 @@ class TestSimulate:
         assert float(values["brier_cox"]) >= 0.0
 
     def test_cox_with_net_identical_across_thread_counts(self, tmp_path):
+        self._identical_across_thread_counts(tmp_path, "cox-independent",
+                                             ("net", "net_ipcw", "cox"))
+
+    @pytest.mark.parametrize("study, labels", [("aft", ("net", "cox")),
+                                               ("cox-dependent", ("net", "net_ipcw", "cox"))])
+    def test_identical_across_thread_counts(self, tmp_path, study, labels):
+        self._identical_across_thread_counts(tmp_path, study, labels)
+
+    def _identical_across_thread_counts(self, tmp_path, study, labels):
         outputs = []
         for threads in ("1", "2"):
             out_dir = tmp_path / f"study_{threads}"
             code = main([
-                "simulate", "--study", "cox-independent", "--with-net", "--replicates", "2",
+                "simulate", "--study", study, "--with-net", "--replicates", "2",
                 "--n", "300", "--budget", "1", "--folds", "2", "--epochs", "2", "--seed", "1",
                 "--out", str(out_dir), "--threads", threads,
             ])
@@ -401,8 +413,54 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         for row in rows:
-            for label in ("net", "net_ipcw", "cox"):
+            for label in labels:
                 assert 0.0 <= float(row[f"c_index_{label}"]) <= 1.0
+
+    @pytest.mark.parametrize("study", ["aft", "cox-dependent", "cox-independent"])
+    def test_row_rebuilt_from_library_calls(self, tmp_path, study):
+        # the documented seed labels: a swapped label changes the row
+        seed, rep, n, rate = 7, 0, 200, 0.4
+        out_dir = tmp_path / "study"
+        assert main([
+            "simulate", "--study", study, "--with-net", "--replicates", "1", "--n", str(n),
+            "--censoring-rate", str(rate), "--budget", "1", "--folds", "2", "--epochs", "2",
+            "--seed", str(seed), "--out", str(out_dir), "--threads", "1",
+        ]) == 0
+        with open(out_dir / "replicates.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+
+        if study == "aft":
+            data = ps.gen_friedman_aft(ps.FriedmanSpec(n=n, censoring_rate=rate,
+                                                       seed=derived_seed(seed, "aft", rep)))
+            train, test = ps.split_dataset(data, 0.75, seed=derived_seed(seed, "aft-split", rep))
+            grid = ps.make_grid(train, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+            expected = {"replicate": rep, "censoring_rate": 1.0 - data.event.mean()}
+            runs = [("net", None, "aft-net")]
+        else:
+            spec = dict(n=n, dependent_censoring=study == "cox-dependent", censoring_rate=rate)
+            train = ps.gen_cox(ps.CoxSimSpec(seed=derived_seed(seed, "cox-train", rep), **spec))
+            test = ps.gen_cox(ps.CoxSimSpec(seed=derived_seed(seed, "cox-test", rep), **spec))
+            grid = ps.make_grid(train, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
+            expected = {
+                "replicate": rep,
+                "censoring_rate": 1.0 - train.event.mean(),
+                "beta_gee": ps.fit_gee(train, grid, ipcw=False).beta[0],
+                "beta_gee_ipcw": ps.fit_gee(train, grid, ipcw=True).beta[0],
+            }
+            weights = ps.censoring_weights(train, ps.fit_cox(train, target="censoring"))
+            runs = [("net", None, "net"), ("net_ipcw", weights, "net_ipcw")]
+        for label, weights, seed_label in runs:
+            _, report = ps.fit_and_evaluate(
+                train, test, grid, ps.default_grid(epochs=2), weights=weights, k=2, budget=1,
+                seed=derived_seed(seed, seed_label, rep),
+            )
+            expected[f"c_index_{label}"] = np.nanmean(report.c_index)
+            expected[f"brier_{label}"] = np.mean(report.brier)
+        cox_pred = ps.cox_predict_survival(ps.fit_cox(train), test.covariates, grid.cutpoints)
+        report = ps.evaluate_predictions(test, cox_pred, grid.cutpoints)
+        expected["c_index_cox"] = np.nanmean(report.c_index)
+        expected["brier_cox"] = np.mean(report.brier)
+        assert row == {key: format(value, ".6g") for key, value in expected.items()}
 
     def test_emit_data_writes_sidecar(self, tmp_path):
         out_dir = tmp_path / "study"
@@ -604,8 +662,41 @@ def test_bad_config_exits_2_naming_file_and_key(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
 
 
-# arguments, with {d} for a directory holding data.csv, an empty directory dir
-# and two malformed models, and the text the error must hold
+def _model(**fields):
+    """A valid format-2 model for data.csv (one covariate, three intervals), fields replaced."""
+    config = asdict(ps.default_grid(epochs=1)[0])
+    sizes = [4, *config["hidden_layers"], 1]
+    payload = {"format_version": 2, "config": config, "cutpoints": [1.5, 2.5, 3.5],
+               "covariate_mean": [0.0], "covariate_std": [1.0], "covariate_names": ["z_1"],
+               "weights": [np.full((a, b), 0.1).tolist() for a, b in zip(sizes, sizes[1:])],
+               "biases": [[0.0] * b for b in sizes[1:]]}
+    return {**payload, **fields}
+
+
+# model files with one malformed field: (fields, the text the error must hold)
+BAD_MODELS = {
+    "weights not numbers": ({"weights": "abc"}, "malformed model file"),
+    "config a list": ({"config": []}, "malformed model file"),
+    "names a number": ({"covariate_names": 5}, "malformed model file"),
+    "negative cutpoint": ({"cutpoints": [-1, 2]}, "malformed model file: grid cutpoints"),
+    "too few cutpoints": ({"cutpoints": [1, 2]},
+                          "model arrays do not fit 1 covariates, 2 intervals"),
+    "layers do not chain": ({"weights": _model()["weights"][1:]}, "model arrays do not fit"),
+    "too many names": ({"covariate_names": ["z_1", "z_2"]}, "model arrays do not fit"),
+}
+
+
+def test_hand_written_model_predicts(tmp_path):
+    write_csv(tmp_path / "data.csv",
+              [["time", "event", "z_1"], ["1", "1", "0.5"], ["2", "0", "-1"]])
+    (tmp_path / "model.json").write_text(json.dumps(_model()))
+    assert main(["predict", "--model", str(tmp_path / "model.json"), "--input",
+                 str(tmp_path / "data.csv"), "--output", str(tmp_path / "p.csv")]) == 0
+
+
+# arguments, with {d} for a directory holding data.csv, early.csv (12 subjects,
+# the two events first), an empty directory dir and malformed models, and the
+# text the error must hold
 HOSTILE = {
     "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
                                     "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
@@ -625,6 +716,18 @@ HOSTILE = {
                             "cannot parse number list '0.2,nan'"),
     "nan weight cap": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv", "--ipcw",
                         "--weight-cap", "nan"], "weight cap must exceed 1"),
+    "fold without comparable pair": (["train", "--input", "{d}/early.csv", "--model-out",
+                                      "{d}/m.json", "--grid-times", "1.5,2.5", "--folds", "3"],
+                                     "CV fold 2 has no comparable pair"),
+    "cox-independent without censoring": (["simulate", "--study", "cox-independent",
+                                           "--censoring-rate", "0", "--out", "{d}/study"],
+                                          "--censoring-rate must be above 0"),
+    "cox-dependent rate out of range": (["simulate", "--study", "cox-dependent", "--n", "50",
+                                         "--censoring-rate", "1.5", "--out", "{d}/study"],
+                                        "censoring_rate must be in [0, 1)"),
+    **{f"model {case}": (["predict", "--model", f"{{d}}/{case}.json", "--input", "{d}/data.csv",
+                          "--output", "{d}/p.csv"], f"{{d}}/{case}.json: {message}")
+       for case, (_, message) in BAD_MODELS.items()},
 }
 
 
@@ -636,6 +739,10 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
                                       ["3", "1", "0.2"], ["4", "1", "1.1"], ["5", "0", "0.3"]])
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "v2.json").write_text('{"format_version": 2}')
+    for case, (fields, _) in BAD_MODELS.items():
+        (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
+    write_csv(tmp_path / "early.csv", [["time", "event", "z_1"]]
+              + [[str(t), str(int(t <= 2)), f"{t % 3}"] for t in range(1, 13)])
     assert main([arg.format(d=tmp_path) for arg in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(d=tmp_path) in err

@@ -93,6 +93,12 @@ class TestCurveEval:
         with pytest.raises(DataError):
             c.at(-0.1)
 
+    def test_nan_time_rejected(self):
+        c = StepSurvivalCurve(np.array([2.0]), np.array([0.5]), 1.0)
+        for t in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(DataError, match="nonnegative"):
+                c.at(t)
+
     def test_left_limit(self):
         c = StepSurvivalCurve(np.array([2.0]), np.array([0.5]), 1.0)
         assert c.at_left(2.0) == 1.0

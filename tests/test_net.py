@@ -370,6 +370,17 @@ class TestGridSearch:
         with pytest.raises(DataError):
             grid_search(table, data, [cfg], k=1, eval_times=table.grid, budget=1, seed=0)
 
+    def test_fold_without_comparable_pair_named(self):
+        # the two events come first, so a fold of censored subjects has no pair
+        data = Dataset(np.arange(1.0, 13.0), np.arange(12) < 2, np.zeros((12, 1)), ("z_1",))
+        grid_times = TimeGrid(np.array([2.5, 6.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = pseudo_conditional(data, grid_times)
+        with pytest.raises(DataError, match="CV fold 2 has no comparable pair.*fewer folds"):
+            grid_search(table, data, [small_config(epochs=2)], k=3, eval_times=grid_times,
+                        budget=1, seed=0)
+
     def test_budget_validation(self, rng):
         table = toy_table(rng, n=10)
         data = Dataset(np.arange(1.0, 11.0), np.ones(10, dtype=bool),

@@ -69,6 +69,13 @@ class TestMakeGrid:
             make_grid(d, percentiles=[0.5, 0.2])
         with pytest.raises(DataError):
             make_grid(d, percentiles=[0.0, 0.5])
+        with pytest.raises(DataError, match="quantile levels"):
+            make_grid(d, percentiles=[np.nan])
+
+    @pytest.mark.parametrize("cuts", [[np.nan], [1.0, np.nan], [np.nan, 1.0]])
+    def test_nan_cutpoint_rejected(self, cuts):
+        with pytest.raises(DataError, match="grid cutpoints"):
+            TimeGrid(np.array(cuts))
 
 
 class TestPseudoMarginal:
