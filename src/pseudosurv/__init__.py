@@ -55,51 +55,3 @@ from .sim import (
     gen_friedman_aft,
     write_dataset_with_metadata,
 )
-
-__all__ = [
-    "CoxModel",
-    "CoxSimSpec",
-    "DataError",
-    "Dataset",
-    "EvalReport",
-    "FriedmanSpec",
-    "GeeModel",
-    "MlpConfig",
-    "MlpModel",
-    "NumericError",
-    "PseudoTable",
-    "PseudosurvError",
-    "StepSurvivalCurve",
-    "TimeGrid",
-    "WeightFunction",
-    "brier",
-    "c_index",
-    "calibrate_censoring",
-    "censoring_kaplan_meier",
-    "censoring_weights",
-    "cox_predict_survival",
-    "default_grid",
-    "evaluate_predictions",
-    "fit_and_evaluate",
-    "fit_cox",
-    "fit_gee",
-    "gen_cox",
-    "gen_friedman_aft",
-    "grid_search",
-    "ipcw_survival",
-    "kaplan_meier",
-    "load_dataset",
-    "load_model",
-    "make_grid",
-    "nelson_aalen_weighted",
-    "predict_conditional_matrix",
-    "predict_marginal_matrix",
-    "predict_survival",
-    "pseudo_conditional",
-    "pseudo_marginal",
-    "save_dataset",
-    "save_model",
-    "split_dataset",
-    "train",
-    "write_dataset_with_metadata",
-]

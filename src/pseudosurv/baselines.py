@@ -26,9 +26,9 @@ def cox_predict_survival(model: CoxModel, covariates, t):
         raise DataError("model must be fit with target='event'")
     base = np.exp(-np.asarray(model.baseline_cumhaz.at(t), dtype=float))
     theta = model.linear_predictor(np.asarray(covariates, dtype=float))
-    if np.ndim(theta) == 0:
+    if np.ndim(theta) == 0:  # scalar ** can round apart from the ufunc loop at a scalar t
         return base ** np.exp(theta)
-    return np.power.outer(base, np.exp(theta)).T if np.ndim(base) else base ** np.exp(theta)
+    return np.power.outer(base, np.exp(theta)).T
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -53,7 +52,7 @@ from .sim import (
     gen_friedman_aft,
     write_dataset_with_metadata,
 )
-from .util import derived_seed
+from .util import derived_seed, parallel_map
 
 _COMMON = {"seed": 0, "threads": 0}
 _PATHS = ("input", "output", "model", "model_out", "out", "train_out", "test_out")
@@ -126,6 +125,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             resolved[key] = value
+    if resolved["threads"] < 0:
+        raise DataError("threads must be 0 (all cores) or more")
     if not resolved["threads"]:
         resolved["threads"] = os.cpu_count() or 1
     return resolved
@@ -235,7 +236,7 @@ def cmd_evaluate(resolved: dict) -> None:
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     if (resolved.get("model") is None) == (resolved.get("predictions") is None):
         raise DataError("provide exactly one of --model or --predictions")
-    if resolved.get("model"):
+    if resolved.get("model") is not None:
         model = load_model(resolved["model"])
         times = _parse_floats(resolved["times"]) if resolved.get("times") else model.cutpoints
         pred = predict_survival(model, _model_covariates(model, data), times)
@@ -321,18 +322,11 @@ def cmd_simulate(resolved: dict) -> None:
                         "the cox-independent study models censoring")
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    reps = list(range(int(resolved["replicates"])))
-    threads = int(resolved["threads"])
-    if threads > 1 and len(reps) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # replicates take the worker processes; searches inside each run serial.
-        # Each replicate derives its own randomness, so rows match at any count.
-        inner = functools.partial(_replicate, dict(resolved, threads=1))
-        with ProcessPoolExecutor(max_workers=min(threads, len(reps))) as pool:
-            rows = list(pool.map(inner, reps))
-    else:
-        rows = [_replicate(resolved, rep) for rep in reps]
+    reps = range(int(resolved["replicates"]))
+    # several replicates take the workers and search serially, a lone one's search takes
+    # them; rows derive their own randomness, so they match at any thread count
+    shared = dict(resolved, threads=1) if len(reps) > 1 else resolved
+    rows = parallel_map(_replicate, shared, reps, int(resolved["threads"]))
 
     columns = list(rows[0].keys())
     values = {c: np.array([row[c] for row in rows]) for c in columns}

@@ -39,10 +39,7 @@ class CoxModel:
 
     def linear_predictor(self, covariates: np.ndarray) -> np.ndarray:
         """beta . (Z - means) for a (p,) vector or (n, p) matrix."""
-        z = np.asarray(covariates, dtype=float)
-        return (np.atleast_2d(z) - self.covariate_means) @ self.beta if z.ndim > 1 else (
-            (z - self.covariate_means) @ self.beta
-        )
+        return (np.asarray(covariates, dtype=float) - self.covariate_means) @ self.beta
 
 
 def _select_columns(data: Dataset, covariates: Sequence[str] | None):

@@ -67,10 +67,6 @@ class Dataset:
         return self.time.size
 
     @property
-    def n(self) -> int:
-        return self.time.size
-
-    @property
     def p(self) -> int:
         return self.covariates.shape[1]
 
@@ -257,7 +253,7 @@ def split_dataset(data: Dataset, fraction: float = 0.75, seed: int = 0) -> tuple
     if not 0.0 < fraction < 1.0:
         raise DataError("split fraction must be in (0, 1)")
     rng = derived_rng(seed, "split")
-    perm = rng.permutation(data.n)
-    n_train = int(round(fraction * data.n))
-    n_train = min(max(n_train, 1), data.n - 1)
+    perm = rng.permutation(len(data))
+    n_train = int(round(fraction * len(data)))
+    n_train = min(max(n_train, 1), len(data) - 1)
     return data.subset(np.sort(perm[:n_train])), data.subset(np.sort(perm[n_train:]))

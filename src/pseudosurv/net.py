@@ -26,7 +26,7 @@ from .errors import DataError, NumericError
 from .estimators import WeightFunction
 from .metrics import EvalReport, c_index, evaluate_predictions
 from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
-from .util import derived_rng, derived_seed
+from .util import derived_rng, derived_seed, parallel_map
 
 HIDDEN_WIDTHS = (4, 8, 16, 32, 64, 128)
 ACTIVATIONS = ("relu", "tanh")
@@ -418,18 +418,8 @@ def make_cv_folds(subjects: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [subjects[np.sort(part)] for part in np.array_split(perm, k)]
 
 
-# Worker-side state for process-parallel search; set once per worker process.
-_SEARCH_CTX: dict | None = None
-
-
-def _set_search_context(ctx: dict) -> None:
-    global _SEARCH_CTX
-    _SEARCH_CTX = ctx
-
-
-def _score_config(config_idx: int) -> tuple[int, float]:
-    """Cross-validate one config; used inline or inside a worker process."""
-    ctx = _SEARCH_CTX
+def _score_config(ctx: dict, config_idx: int) -> float:
+    """Cross-validate one config: its mean held-out c-index over the folds."""
     config: MlpConfig = ctx["grid"][config_idx]
     fold_scores = []
     for fold, held in enumerate(ctx["folds"]):
@@ -443,7 +433,7 @@ def _score_config(config_idx: int) -> tuple[int, float]:
         pred = predict_survival(model, held_data.covariates, ctx["times"])
         values, _ = c_index(held_data, pred, ctx["times"])
         fold_scores.append(float(np.nanmean(values)))
-    return config_idx, float(np.mean(fold_scores))
+    return float(np.mean(fold_scores))
 
 
 def grid_search(
@@ -484,7 +474,7 @@ def grid_search(
                             "use fewer folds")
 
     sample_rng = derived_rng(seed, "config-sample")
-    chosen = np.sort(sample_rng.choice(len(grid), size=budget, replace=False))
+    chosen = np.sort(sample_rng.choice(len(grid), size=budget, replace=False)).tolist()
 
     ctx = {
         "grid": grid,
@@ -495,28 +485,10 @@ def grid_search(
         "times": times,
         "seed": seed,
     }
-    scores: dict[int, float] = {}
-    if n_jobs > 1 and chosen.size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, chosen.size),
-            initializer=_set_search_context,
-            initargs=(ctx,),
-        ) as pool:
-            for ci, score in pool.map(_score_config, [int(c) for c in chosen]):
-                scores[ci] = score
-    else:
-        _set_search_context(ctx)
-        try:
-            for ci in chosen:
-                idx, score = _score_config(int(ci))
-                scores[idx] = score
-        finally:
-            _set_search_context(None)
+    scores = dict(zip(chosen, parallel_map(_score_config, ctx, chosen, n_jobs)))
 
     # max keeps the first of equal scores, and chosen is in grid order
-    best = grid[max((int(ci) for ci in chosen), key=scores.__getitem__)]
+    best = grid[max(chosen, key=scores.__getitem__)]
     refit_seed = derived_seed(seed, best.content_key(), "refit")
     final_config = replace(best, seed=refit_seed)
     model = train(table, final_config)

@@ -1,4 +1,4 @@
-"""Small shared helpers: reproducible RNG derivation."""
+"""Small shared helpers: reproducible RNG derivation and the worker pool."""
 
 from __future__ import annotations
 
@@ -33,3 +33,32 @@ def derived_seed(seed: int, *tags) -> int:
     """A plain integer seed derived like :func:`derived_rng`."""
     return int(np.random.SeedSequence(_seed_keys(seed, tags)).generate_state(1)[0])
 
+
+# (fn, shared) of a pool worker process, set once by its initializer
+_WORKER: tuple | None = None
+
+
+def _init_worker(fn, shared) -> None:
+    global _WORKER
+    _WORKER = (fn, shared)
+
+
+def _call_worker(item):
+    fn, shared = _WORKER
+    return fn(shared, item)
+
+
+def parallel_map(fn, shared, items, n_jobs: int) -> list:
+    """``[fn(shared, item) for item in items]``, serial unless ``n_jobs`` and the items exceed one.
+
+    Otherwise ``min(n_jobs, len(items))`` worker processes each receive ``fn``
+    and ``shared`` once, so only the items travel per call.
+    """
+    items = list(items)
+    if n_jobs <= 1 or len(items) <= 1:
+        return [fn(shared, item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(items)), initializer=_init_worker,
+                             initargs=(fn, shared)) as pool:
+        return list(pool.map(_call_worker, items))

@@ -293,7 +293,7 @@ def save_dataset(data: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "event", *data.covariate_names])
-        for i in range(data.n):
+        for i in range(len(data)):
             writer.writerow(
                 [fmt6(data.time[i]), int(data.event[i])]
                 + [fmt6(v) for v in data.covariates[i]]

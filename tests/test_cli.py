@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import re
@@ -416,6 +417,30 @@ class TestSimulate:
             for label in labels:
                 assert 0.0 <= float(row[f"c_index_{label}"]) <= 1.0
 
+    def test_lone_replicate_search_takes_the_workers(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"study_{threads}"
+            assert main([
+                "simulate", "--study", "aft", "--replicates", "1", "--n", "300", "--budget", "2",
+                "--folds", "2", "--epochs", "2", "--seed", "4", "--out", str(out_dir),
+                "--threads", threads,
+            ]) == 0
+            outputs.append(
+                (out_dir / "replicates.csv").read_bytes() + (out_dir / "summary.csv").read_bytes()
+            )
+        # only the --threads 2 run's search opened a pool, with one worker per config
+        assert pools == [2]
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("study", ["aft", "cox-dependent", "cox-independent"])
     def test_row_rebuilt_from_library_calls(self, tmp_path, study):
         # the documented seed labels: a swapped label changes the row
@@ -695,8 +720,8 @@ def test_hand_written_model_predicts(tmp_path):
 
 
 # arguments, with {d} for a directory holding data.csv, early.csv (12 subjects,
-# the two events first), an empty directory dir and malformed models, and the
-# text the error must hold
+# the two events first), an empty directory dir, malformed models and a config
+# file threads.json with a negative thread count, and the text the error must hold
 HOSTILE = {
     "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
                                     "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
@@ -725,6 +750,13 @@ HOSTILE = {
     "cox-dependent rate out of range": (["simulate", "--study", "cox-dependent", "--n", "50",
                                          "--censoring-rate", "1.5", "--out", "{d}/study"],
                                         "censoring_rate must be in [0, 1)"),
+    "empty model path": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
+                          "--model", ""], "No such file or directory"),
+    "negative threads": (["train", "--input", "{d}/data.csv", "--model-out", "{d}/m.json",
+                          "--threads", "-3"], "threads must be 0 (all cores) or more"),
+    "negative threads in config": (["train", "--config", "{d}/threads.json", "--input",
+                                    "{d}/data.csv", "--model-out", "{d}/m.json"],
+                                   "threads must be 0 (all cores) or more"),
     **{f"model {case}": (["predict", "--model", f"{{d}}/{case}.json", "--input", "{d}/data.csv",
                           "--output", "{d}/p.csv"], f"{{d}}/{case}.json: {message}")
        for case, (_, message) in BAD_MODELS.items()},
@@ -739,6 +771,7 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
                                       ["3", "1", "0.2"], ["4", "1", "1.1"], ["5", "0", "0.3"]])
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "v2.json").write_text('{"format_version": 2}')
+    (tmp_path / "threads.json").write_text('{"threads": -1}')
     for case, (fields, _) in BAD_MODELS.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
     write_csv(tmp_path / "early.csv", [["time", "event", "z_1"]]
