@@ -18,6 +18,7 @@ from .cox import CoxModel, censoring_weights, fit_cox
 from .data import Dataset
 from .errors import DataError, NumericError
 from .pseudo import TimeGrid, pseudo_marginal
+from .util import freeze
 
 
 def cox_predict_survival(model: CoxModel, covariates, t):
@@ -40,9 +41,9 @@ class GeeModel:
     cutpoints: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "time_intercepts", np.asarray(self.time_intercepts, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "cutpoints", np.asarray(self.cutpoints, dtype=float))
+        freeze(self, time_intercepts=np.asarray(self.time_intercepts, dtype=float),
+               beta=np.asarray(self.beta, dtype=float),
+               cutpoints=np.asarray(self.cutpoints, dtype=float))
 
 
 def _cloglog_mean(eta):

@@ -118,6 +118,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     *_, options = _COMMANDS[command]
     resolved = {**dict.fromkeys(_PATHS), **options, **_COMMON}
+    if args.config == "":
+        raise DataError("--config is empty")
     if args.config:
         resolved.update(_read_config(args.config, command, resolved))
     for key, value in vars(args).items():
@@ -125,6 +127,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             resolved[key] = value
+    for key in ("model", "predictions"):
+        if resolved.get(key) == "":
+            raise DataError(f"--{key} is empty")
     if resolved["threads"] < 0:
         raise DataError("threads must be 0 (all cores) or more")
     if not resolved["threads"]:
@@ -240,6 +245,8 @@ def cmd_evaluate(resolved: dict) -> None:
         model = load_model(resolved["model"])
         times = _parse_floats(resolved["times"]) if resolved.get("times") else model.cutpoints
         pred = predict_survival(model, _model_covariates(model, data), times)
+    elif resolved.get("times") is not None:
+        raise DataError("--times applies only with --model")
     else:
         pred, times = load_predictions(resolved["predictions"], len(data))
     report = evaluate_predictions(data, pred, times, censoring_kaplan_meier(data))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .util import derived_rng
+from .util import derived_rng, freeze
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 _CHUNK_CELLS = 2048  # cells per float pass: bounds the row text held at once
@@ -55,13 +55,8 @@ class Dataset:
             raise DataError("times must be finite and nonnegative")
         if not np.all(np.isfinite(cov)):
             raise DataError("covariates must be finite")
-        time.setflags(write=False)
-        event.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
+        freeze(self, time=time, event=event, covariates=cov,
+               covariate_names=tuple(self.covariate_names))
 
     def __len__(self) -> int:
         return self.time.size

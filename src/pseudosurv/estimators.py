@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
+from .util import freeze
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,7 @@ class StepSurvivalCurve:
             raise DataError("curve times and values must be 1-d and equal length")
         if not np.all(np.diff(times) > 0):
             raise DataError("curve times must be strictly increasing")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "initial_value", float(self.initial_value))
+        freeze(self, times=times, values=values, initial_value=float(self.initial_value))
 
     def _eval(self, t, side: str):
         t_arr = np.asarray(t, dtype=float)
@@ -185,12 +182,7 @@ class WeightFunction:
             raise DataError("relative risks must be finite and nonnegative")
         if not self.cap > 0:
             raise DataError("weight cap must be positive")
-        for arr in (times, cumhaz, risk):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "cumhaz", cumhaz)
-        object.__setattr__(self, "risk", risk)
-        object.__setattr__(self, "cap", float(self.cap))
+        freeze(self, times=times, cumhaz=cumhaz, risk=risk, cap=float(self.cap))
 
     @property
     def n_subjects(self) -> int:

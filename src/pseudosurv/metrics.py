@@ -15,6 +15,7 @@ import numpy as np
 from .data import Dataset, write_csv, write_json
 from .errors import DataError, NumericError
 from .estimators import StepSurvivalCurve, censoring_kaplan_meier
+from .util import freeze
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,7 @@ class EvalReport:
         k = np.asarray(self.n_pairs, dtype=int)
         if not (t.size == c.size == b.size == k.size):
             raise DataError("report columns must have equal length")
-        object.__setattr__(self, "eval_times", t)
-        object.__setattr__(self, "c_index", c)
-        object.__setattr__(self, "brier", b)
-        object.__setattr__(self, "n_pairs", k)
+        freeze(self, eval_times=t, c_index=c, brier=b, n_pairs=k)
 
     def to_csv(self, path) -> None:
         columns = [self.eval_times, self.c_index, self.brier, self.n_pairs]
@@ -181,4 +179,4 @@ def evaluate_predictions(
         censor_curve = censoring_kaplan_meier(data)
     c_vals, n_pairs = c_index(data, predicted_survival, eval_times)
     b_vals = brier(data, predicted_survival, eval_times, censor_curve)
-    return EvalReport(np.atleast_1d(np.asarray(eval_times, dtype=float)), c_vals, b_vals, n_pairs)
+    return EvalReport(np.array(eval_times, dtype=float, ndmin=1), c_vals, b_vals, n_pairs)

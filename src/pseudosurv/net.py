@@ -26,7 +26,7 @@ from .errors import DataError, NumericError
 from .estimators import WeightFunction
 from .metrics import EvalReport, c_index, evaluate_predictions
 from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
-from .util import derived_rng, derived_seed, parallel_map
+from .util import derived_rng, derived_seed, freeze, parallel_map
 
 HIDDEN_WIDTHS = (4, 8, 16, 32, 64, 128)
 ACTIVATIONS = ("relu", "tanh")
@@ -76,8 +76,7 @@ class MlpConfig:
             raise DataError(f"optimizer must be one of {OPTIMIZERS}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise DataError("epochs and batch_size must be positive")
-        object.__setattr__(self, "hidden_layers", layers)
-        object.__setattr__(self, "regularization", (kind, float(value)))
+        freeze(self, hidden_layers=layers, regularization=(kind, float(value)))
 
     def content_key(self) -> str:
         """Stable identity of the hyperparameters, ignoring the seed.

@@ -22,6 +22,7 @@ import numpy as np
 from .data import Dataset, write_csv
 from .errors import DataError
 from .estimators import WeightFunction, _at_risk_weights, _event_table, _ipcw_sums
+from .util import freeze
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,7 @@ class TimeGrid:
             raise DataError("grid cutpoints must be positive")
         if not np.all(np.diff(cuts) > 0):
             raise DataError("grid cutpoints must be strictly increasing")
-        cuts.setflags(write=False)
-        object.__setattr__(self, "cutpoints", cuts)
+        freeze(self, cutpoints=cuts)
 
     @property
     def n_intervals(self) -> int:
@@ -83,13 +83,8 @@ class PseudoTable:
             raise DataError("time_index out of range for grid")
         if not np.all(np.isfinite(ps)):
             raise DataError("pseudo values must be finite")
-        for arr in (ids, cov, tidx, ps):
-            arr.setflags(write=False)
-        object.__setattr__(self, "subject_ids", ids)
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "time_index", tidx)
-        object.__setattr__(self, "pseudo", ps)
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
+        freeze(self, subject_ids=ids, covariates=cov, time_index=tidx, pseudo=ps,
+               covariate_names=tuple(self.covariate_names))
 
     def __len__(self) -> int:
         return self.pseudo.size

@@ -1,10 +1,18 @@
-"""Small shared helpers: reproducible RNG derivation and the worker pool."""
+"""Small shared helpers: frozen value types, reproducible RNG derivation and the worker pool."""
 
 from __future__ import annotations
 
 import zlib
 
 import numpy as np
+
+
+def freeze(obj, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``obj``, making each ndarray among them read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 def _seed_keys(seed: int, tags) -> list[int]:

@@ -751,7 +751,14 @@ HOSTILE = {
                                          "--censoring-rate", "1.5", "--out", "{d}/study"],
                                         "censoring_rate must be in [0, 1)"),
     "empty model path": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
-                          "--model", ""], "No such file or directory"),
+                          "--model", ""], "--model is empty"),
+    "empty predictions path": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
+                                "--predictions", ""], "--predictions is empty"),
+    "empty config path": (["predict", "--config", "", "--model", "{d}/m.json", "--input",
+                           "{d}/data.csv", "--output", "{d}/p.csv"], "--config is empty"),
+    "times with predictions": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
+                                "--predictions", "{d}/pred.csv", "--times", "0.1,0.2"],
+                               "--times applies only with --model"),
     "negative threads": (["train", "--input", "{d}/data.csv", "--model-out", "{d}/m.json",
                           "--threads", "-3"], "threads must be 0 (all cores) or more"),
     "negative threads in config": (["train", "--config", "{d}/threads.json", "--input",
@@ -772,6 +779,7 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "v2.json").write_text('{"format_version": 2}')
     (tmp_path / "threads.json").write_text('{"threads": -1}')
+    write_csv(tmp_path / "pred.csv", [["id", "2.5"]] + [[str(i), "0.5"] for i in range(5)])
     for case, (fields, _) in BAD_MODELS.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
     write_csv(tmp_path / "early.csv", [["time", "event", "z_1"]]
