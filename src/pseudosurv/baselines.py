@@ -91,28 +91,33 @@ def fit_gee(
         return dmu[:, None] * X, y - _cloglog_mean(eta)
 
     current = sse(theta)
-    for _ in range(max_iter):
-        jac, resid = linearize(theta)
-        delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        scale = 1.0
-        for _ in range(40):
-            candidate = sse(theta + scale * delta)
-            if candidate <= current + 1e-12 * max(1.0, current):
+    with np.errstate(over="ignore"):  # a diverging fit overflows exp; it is refused below
+        for _ in range(max_iter):
+            jac, resid = linearize(theta)
+            delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+            scale = 1.0
+            for _ in range(40):
+                candidate = sse(theta + scale * delta)
+                if candidate <= current + 1e-12 * max(1.0, current):
+                    break
+                scale *= 0.5
+            else:
+                raise NumericError("gee did not converge")
+            theta = theta + scale * delta
+            current = candidate
+            if np.max(np.abs(scale * delta)) <= 1e-8:
                 break
-            scale *= 0.5
         else:
-            raise NumericError("gee did not converge")
-        theta = theta + scale * delta
-        current = candidate
-        if np.max(np.abs(scale * delta)) <= 1e-8:
-            return GeeModel(theta[:J], theta[J:], cuts)
-    # On a large-residual fit Gauss-Newton can creep linearly with steps far
-    # above 1e-8.  Accept the last iterate where the score J'r is flat by
-    # the relative-gradient test of Dennis & Schnabel (1983, sec. 7.2):
-    # max |g_i| max(|theta_i|, 1) / max(f, 1) <= eps**(1/3), f = SSE / 2.
-    jac, resid = linearize(theta)
-    relgrad = np.abs(jac.T @ resid) * np.maximum(np.abs(theta), 1.0) / max(current / 2, 1.0)
-    if relgrad.max() <= np.finfo(float).eps ** (1 / 3):
-        return GeeModel(theta[:J], theta[J:], cuts)
-    raise NumericError("gee did not converge")
-
+            # On a large-residual fit Gauss-Newton can creep linearly with steps far
+            # above 1e-8.  Accept the last iterate where the score J'r is flat by
+            # the relative-gradient test of Dennis & Schnabel (1983, sec. 7.2):
+            # max |g_i| max(|theta_i|, 1) / max(f, 1) <= eps**(1/3), f = SSE / 2.
+            jac, resid = linearize(theta)
+            relgrad = np.abs(jac.T @ resid) * np.maximum(np.abs(theta), 1.0) / max(current / 2, 1.0)
+            if relgrad.max() > np.finfo(float).eps ** (1 / 3):
+                raise NumericError("gee did not converge")
+    # past log(max float) the fitted survival exp(-exp(eta)) is exactly 0 or 1
+    eta = float(np.max(np.abs(X @ theta)))
+    if eta > np.log(np.finfo(float).max):
+        raise NumericError(f"gee diverged: max |linear predictor| is {eta:.6g}")
+    return GeeModel(theta[:J], theta[J:], cuts)

@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import cox_predict_survival, fit_gee
-from .cox import censoring_weights, fit_cox
 from .data import (
     Dataset,
     load_dataset,
@@ -33,25 +31,6 @@ from .data import (
     write_json,
 )
 from .errors import DataError, NumericError
-from .estimators import censoring_kaplan_meier
-from .metrics import evaluate_predictions
-from .net import (
-    default_grid,
-    fit_and_evaluate,
-    grid_search,
-    load_model,
-    predict_conditional_matrix,
-    predict_survival,
-    save_model,
-)
-from .pseudo import make_grid, pseudo_conditional
-from .sim import (
-    CoxSimSpec,
-    FriedmanSpec,
-    gen_cox,
-    gen_friedman_aft,
-    write_dataset_with_metadata,
-)
 from .util import derived_seed, parallel_map
 
 _COMMON = {"seed": 0, "threads": 0}
@@ -146,6 +125,7 @@ def _write_config(resolved: dict, command: str, anchor: Path) -> None:
 
 
 def _grid_from(resolved: dict, data: Dataset):
+    from .pseudo import make_grid
     if resolved.get("grid_times"):
         return make_grid(data, times=_parse_floats(resolved["grid_times"]))
     return make_grid(data, percentiles=_parse_floats(resolved["grid_percentiles"]))
@@ -161,6 +141,7 @@ def _censor_names(resolved: dict):
 def _maybe_weights(resolved: dict, data: Dataset):
     if not resolved["ipcw"]:
         return None, None
+    from .cox import censoring_weights, fit_cox
     names = _censor_names(resolved)
     model = fit_cox(data, target="censoring", covariates=names)
     weights = censoring_weights(data, model, cap=float(resolved["weight_cap"]))
@@ -173,6 +154,7 @@ def _maybe_weights(resolved: dict, data: Dataset):
 
 
 def cmd_transform(resolved: dict) -> None:
+    from .pseudo import pseudo_conditional
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     grid = _grid_from(resolved, data)
     weights, weight_summary = _maybe_weights(resolved, data)
@@ -193,6 +175,8 @@ def cmd_transform(resolved: dict) -> None:
 
 
 def cmd_train(resolved: dict) -> None:
+    from .net import default_grid, grid_search, save_model
+    from .pseudo import pseudo_conditional
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     grid = _grid_from(resolved, data)
     weights, _ = _maybe_weights(resolved, data)
@@ -226,6 +210,7 @@ def _model_covariates(model, data: Dataset) -> np.ndarray:
 
 
 def cmd_predict(resolved: dict) -> None:
+    from .net import load_model, predict_conditional_matrix
     model = load_model(resolved["model"])
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     cond = predict_conditional_matrix(model, _model_covariates(model, data))
@@ -238,10 +223,13 @@ def cmd_predict(resolved: dict) -> None:
 
 
 def cmd_evaluate(resolved: dict) -> None:
+    from .estimators import censoring_kaplan_meier
+    from .metrics import evaluate_predictions
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     if (resolved.get("model") is None) == (resolved.get("predictions") is None):
         raise DataError("provide exactly one of --model or --predictions")
     if resolved.get("model") is not None:
+        from .net import load_model, predict_survival
         model = load_model(resolved["model"])
         times = _parse_floats(resolved["times"]) if resolved.get("times") else model.cutpoints
         pred = predict_survival(model, _model_covariates(model, data), times)
@@ -279,6 +267,13 @@ def _replicate(resolved: dict, rep: int) -> dict:
     Every draw derives from the study seed, a fixed label and ``rep``, so rows
     do not depend on the order or the process they are computed in.
     """
+    from .baselines import cox_predict_survival, fit_gee
+    from .cox import censoring_weights, fit_cox
+    from .metrics import evaluate_predictions
+    from .net import default_grid, fit_and_evaluate
+    from .pseudo import make_grid
+    from .sim import (CoxSimSpec, FriedmanSpec, gen_cox, gen_friedman_aft,
+                      write_dataset_with_metadata)
     seed, study = int(resolved["seed"]), resolved["study"]
     n, rate = int(resolved["n"]), float(resolved["censoring_rate"])
     if study == "aft":
@@ -330,6 +325,8 @@ def cmd_simulate(resolved: dict) -> None:
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     reps = range(int(resolved["replicates"]))
+    # what a replicate runs, loaded before a pool forks so that its workers inherit it
+    from . import baselines, net, sim  # noqa: F401
     # several replicates take the workers and search serially, a lone one's search takes
     # them; rows derive their own randomness, so they match at any thread count
     shared = dict(resolved, threads=1) if len(reps) > 1 else resolved

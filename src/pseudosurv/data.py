@@ -123,15 +123,13 @@ def _read_rows(reader, width: int, parse_row, block_ok) -> np.ndarray:
 def write_csv(path, header, columns) -> None:
     """Write whole columns as ``csv.writer`` would: float arrays at 6 significant
     digits, integer and boolean arrays as integers, lists of strings as given."""
-    cells = [
-        col if not isinstance(col, np.ndarray)
-        else [format(v, ".6g") for v in col.tolist()] if col.dtype.kind == "f"
-        else list(map(str, col.astype(int).tolist()))
-        for col in columns
-    ]
+    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "s" for col in columns]
+    template = ",".join({"f": "%.6g", "s": "%s"}.get(kind, "%d") for kind in kinds) + "\r\n"
+    cells = [col if kind == "s" else col.tolist() if kind == "f" else col.astype(int).tolist()
+             for col, kind in zip(columns, kinds)]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        fh.writelines(template % row for row in zip(*cells))
 
 
 def read_json(path):

@@ -21,6 +21,8 @@ from .util import derived_rng
 _CALIBRATION_DRAWS = 200_000
 # the nonlinear AFT design: covariates, Gaussian bumps, and Var(mu) / Var(eps)
 _AFT_P, _AFT_TERMS, _AFT_SNR = 20, 10, 3.0
+# calibration covariate rows drawn at once: about 2**17 float64 draws, 1 MiB
+_CALIBRATION_BLOCK = 2**17 // _AFT_P
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class FriedmanSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DataError("n must be positive")
+        if self.n < 2:
+            raise DataError("n must be at least 2: one subject has no variance to rescale by")
         if not 0.0 < self.censoring_rate < 1.0:
             raise DataError("censoring_rate must be in (0, 1)")
 
@@ -155,9 +157,13 @@ def gen_friedman_aft(spec: FriedmanSpec, return_info: bool = False):
     mu = scale * mu_raw
     x = np.exp(mu + eps)
 
-    z_cal = rng.standard_normal((_CALIBRATION_DRAWS, _AFT_P))
+    # the covariates come a block at a time, the same stream as one draw of them all
+    mu_cal = np.empty(_CALIBRATION_DRAWS)
+    for lo in range(0, _CALIBRATION_DRAWS, _CALIBRATION_BLOCK):
+        rows = min(_CALIBRATION_BLOCK, _CALIBRATION_DRAWS - lo)
+        mu_cal[lo : lo + rows] = _bump_mean(terms, rng.standard_normal((rows, _AFT_P)))
     eps_cal = rng.gamma(2.0, 1.0, size=_CALIBRATION_DRAWS)
-    x_cal = np.exp(scale * _bump_mean(terms, z_cal) + eps_cal)
+    x_cal = np.exp(scale * mu_cal + eps_cal)
     rate = calibrate_censoring(x_cal, spec.censoring_rate)
 
     c = rng.exponential(1.0 / rate, size=spec.n)

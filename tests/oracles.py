@@ -17,6 +17,10 @@ was before it ran in cell-sized blocks: 1 024-subject blocks, the indicator
 multiplied into every row and a guarded divide on every entry, kept as a
 byte oracle for weights, sums and pseudo values.  ``pseudo_table_to_csv`` is
 the pseudo-value table writer that formatted every row's covariates.
+
+``gen_friedman_aft`` is the nonlinear AFT generator as it was before it drew
+its calibration covariates a block at a time: the whole calibration matrix in
+one draw, kept as a byte oracle for datasets and their metadata.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from pseudosurv import (
     ipcw_survival,
     kaplan_meier,
 )
+from pseudosurv import sim
 from pseudosurv.data import _MISSING_TOKENS, write_csv
 from pseudosurv.estimators import _event_table
 from pseudosurv.util import derived_rng
@@ -499,3 +504,52 @@ def pseudo_table_to_csv(table: PseudoTable, path) -> None:
     onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
     onehot_cells = [onehot[j] for j in table.time_index.tolist()]
     write_csv(path, header, [table.subject_ids, *table.covariates.T, onehot_cells, table.pseudo])
+
+
+def gen_friedman_aft(spec, return_info: bool = False):
+    """The nonlinear AFT design with one (draws, p) calibration matrix; the
+    module's ``_CALIBRATION_DRAWS`` is read at call time so tests may patch it."""
+    draws, p = sim._CALIBRATION_DRAWS, sim._AFT_P
+    rng = derived_rng(spec.seed, "friedman-aft")
+    terms = sim._gaussian_bumps(rng, p, sim._AFT_TERMS)
+
+    Z = rng.standard_normal((spec.n, p))
+    mu_raw = sim._bump_mean(terms, Z)
+    eps = rng.gamma(2.0, 1.0, size=spec.n)
+    var_raw = float(np.var(mu_raw))
+    if var_raw <= 0:
+        raise NumericError("degenerate mean function: zero variance")
+    scale = float(np.sqrt(sim._AFT_SNR * 2.0 / var_raw))
+    mu = scale * mu_raw
+    x = np.exp(mu + eps)
+
+    z_cal = rng.standard_normal((draws, p))
+    eps_cal = rng.gamma(2.0, 1.0, size=draws)
+    x_cal = np.exp(scale * sim._bump_mean(terms, z_cal) + eps_cal)
+    rate = sim.calibrate_censoring(x_cal, spec.censoring_rate)
+
+    c = rng.exponential(1.0 / rate, size=spec.n)
+    time = np.minimum(x, c)
+    event = x <= c
+    data = Dataset(time, event, Z, tuple(f"z_{k + 1}" for k in range(p)))
+    if not return_info:
+        return data
+    info = {
+        "design": "friedman-aft",
+        "seed": spec.seed,
+        "n": spec.n,
+        "p": p,
+        "n_terms": sim._AFT_TERMS,
+        "snr_target": sim._AFT_SNR,
+        "snr_achieved": float(np.var(mu) / np.var(eps)),
+        "censoring_rate_target": spec.censoring_rate,
+        "censoring_rate_achieved": float(1.0 - event.mean()),
+        "calibrated_exponential_rate": rate,
+        "mean_function": {
+            "form": "sum of signed Gaussian bumps over random covariate subsets",
+            "subset_size_rule": "min(floor(1.5 + Exponential(mean 2)), p)",
+            "shape_rule": "rotation @ diag(sqrt_eig^2) @ rotation', sqrt_eig ~ U[0.1, 2.0]",
+            "residuals": "Gamma(shape 2, rate 1) on the log-time scale",
+        },
+    }
+    return data, info

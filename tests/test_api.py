@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +28,8 @@ SUBMODULES = {"baselines", "cox", "data", "errors", "estimators", "metrics", "ne
 
 
 def test_public_names_are_pinned():
-    names = {name for name, value in vars(pseudosurv).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    names = {name for name in dir(pseudosurv) if not name.startswith("_")
+             and not isinstance(getattr(pseudosurv, name), types.ModuleType)}
     assert len(PUBLIC) == 45
     assert names == PUBLIC
 
@@ -35,6 +40,36 @@ def test_star_import_binds_public_names_and_submodules():
     bound = set(namespace) - {"__builtins__"}
     # a submodule imported elsewhere (cli) is bound too, as an attribute of the package
     assert PUBLIC | SUBMODULES <= bound <= PUBLIC | SUBMODULES | {"cli"}
+
+
+# a process's CLI arguments ({d}: a directory with data.csv and pred.csv; None: only
+# the package import) and the submodules it must not load
+IMPORT_CASES = {
+    "import": (None, SUBMODULES),
+    "transform --ipcw": (["transform", "--input", "{d}/data.csv", "--output", "{d}/t.csv",
+                          "--ipcw", "--grid-times", "2.5"], {"net", "metrics", "baselines", "sim"}),
+    "evaluate --predictions": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
+                                "--predictions", "{d}/pred.csv"],
+                               {"net", "cox", "baselines", "sim"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CASES))
+def test_process_loads_only_what_it_runs(tmp_path, case):
+    argv, absent = IMPORT_CASES[case]
+    (tmp_path / "data.csv").write_text("time,event,z_1\n1,1,0.5\n2,0,-1\n3,1,0.2\n4,1,1.1\n")
+    (tmp_path / "pred.csv").write_text("id,2.5\n" + "".join(f"{i},0.5\n" for i in range(4)))
+    code = "import json, sys, pseudosurv"
+    if argv is not None:
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        code += f"; from pseudosurv.cli import main; assert main({argv!r}) == 0"
+    code += "; print(json.dumps([m for m in sys.modules if m.startswith('pseudosurv.')]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudosurv.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    loaded = {name.removeprefix("pseudosurv.") for name in json.loads(out.stdout)}
+    assert "cli" in loaded if argv else loaded == set()
+    assert not loaded & absent
 
 
 def _value_objects():

@@ -526,13 +526,12 @@ class TestErrors:
                      "--output", str(tmp_path / "o.csv")]) == 2
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
-        from pseudosurv import NumericError
-        from pseudosurv import cli as cli_mod
+        from pseudosurv import NumericError, baselines
 
         def explode(*args, **kwargs):
             raise NumericError("gee did not converge")
 
-        monkeypatch.setattr(cli_mod, "fit_gee", explode)
+        monkeypatch.setattr(baselines, "fit_gee", explode)
         code = main([
             "simulate", "--study", "cox-dependent", "--replicates", "1",
             "--n", "200", "--seed", "1", "--out", str(tmp_path / "s"),
@@ -750,6 +749,8 @@ HOSTILE = {
     "cox-dependent rate out of range": (["simulate", "--study", "cox-dependent", "--n", "50",
                                          "--censoring-rate", "1.5", "--out", "{d}/study"],
                                         "censoring_rate must be in [0, 1)"),
+    "aft study of one subject": (["simulate", "--study", "aft", "--n", "1", "--out",
+                                  "{d}/study"], "n must be at least 2"),
     "empty model path": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
                           "--model", ""], "--model is empty"),
     "empty predictions path": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
@@ -787,4 +788,28 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     assert main([arg.format(d=tmp_path) for arg in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(d=tmp_path) in err
+    assert "Traceback" not in err
+
+
+# arguments, with {d} for an empty directory, whose run fails numerically, and the
+# text the error must hold
+NUMERIC_HOSTILE = {
+    "gee diverges on 3 subjects": (["simulate", "--study", "cox-dependent", "--replicates", "1",
+                                    "--n", "3", "--seed", "0", "--threads", "1",
+                                    "--out", "{d}/study"], "gee diverged"),
+    "gee diverges in a replicate of 6": (["simulate", "--study", "cox-dependent", "--replicates",
+                                          "3", "--n", "6", "--seed", "0", "--threads", "1",
+                                          "--out", "{d}/study"], "gee diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_HOSTILE))
+def test_hostile_invocation_exits_3(tmp_path, capsys, case):
+    args, message = NUMERIC_HOSTILE[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([arg.format(d=tmp_path) for arg in args]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and message in err
     assert "Traceback" not in err

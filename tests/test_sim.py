@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from pseudosurv import (
     CoxSimSpec,
     DataError,
@@ -8,6 +9,7 @@ from pseudosurv import (
     calibrate_censoring,
     gen_cox,
     gen_friedman_aft,
+    sim,
 )
 
 
@@ -65,6 +67,29 @@ class TestGenCox:
         assert np.array_equal(a.covariates, b.covariates)
 
 
+def _assert_same_generation(spec):
+    data, info = gen_friedman_aft(spec, return_info=True)
+    want, want_info = oracles.gen_friedman_aft(spec, return_info=True)
+    for name in ("time", "event", "covariates", "covariate_names"):
+        assert np.array_equal(getattr(data, name), getattr(want, name)), name
+    assert info == want_info
+
+
+# blocks of one row, a few rows, exactly the draws and more than the draws
+@pytest.mark.parametrize("block", [1, 7, 1000, 1013])
+def test_streamed_calibration_equals_one_draw(monkeypatch, block):
+    monkeypatch.setattr(sim, "_CALIBRATION_DRAWS", 1000)
+    monkeypatch.setattr(sim, "_CALIBRATION_BLOCK", block)
+    for seed in (0, 7, 2019):
+        for n in (2, 3, 40):
+            _assert_same_generation(FriedmanSpec(n=n, censoring_rate=0.4, seed=seed))
+
+
+def test_streamed_calibration_equals_one_draw_at_full_size():
+    assert sim._CALIBRATION_DRAWS > sim._CALIBRATION_BLOCK
+    _assert_same_generation(FriedmanSpec(n=500, censoring_rate=0.3, seed=1))
+
+
 class TestGenFriedmanAft:
     def test_censoring_calibration(self):
         for target in (0.2, 0.4, 0.6):
@@ -95,5 +120,7 @@ class TestGenFriedmanAft:
             FriedmanSpec(n=100, censoring_rate=1.2)
         with pytest.raises(DataError):
             FriedmanSpec(n=0)
+        with pytest.raises(DataError, match="n must be at least 2"):
+            FriedmanSpec(n=1)
         with pytest.raises(DataError):
             CoxSimSpec(n=10, base_hazard=-1.0)
