@@ -124,13 +124,6 @@ def _write_config(resolved: dict, command: str, anchor: Path) -> None:
     write_json(path, payload, indent=2, sort_keys=True)
 
 
-def _grid_from(resolved: dict, data: Dataset):
-    from .pseudo import make_grid
-    if resolved.get("grid_times"):
-        return make_grid(data, times=_parse_floats(resolved["grid_times"]))
-    return make_grid(data, percentiles=_parse_floats(resolved["grid_percentiles"]))
-
-
 def _censor_names(resolved: dict):
     raw = resolved.get("censor_covariates")
     if raw in (None, "", []):
@@ -138,27 +131,29 @@ def _censor_names(resolved: dict):
     return [s.strip() for s in raw.split(",")] if isinstance(raw, str) else list(raw)
 
 
-def _maybe_weights(resolved: dict, data: Dataset):
-    if not resolved["ipcw"]:
-        return None, None
-    from .cox import censoring_weights, fit_cox
-    names = _censor_names(resolved)
-    model = fit_cox(data, target="censoring", covariates=names)
-    weights = censoring_weights(data, model, cap=float(resolved["weight_cap"]))
-    summary = {
-        "covariates": list(model.covariate_names),
-        "beta": model.beta.tolist(),
-        "cap": weights.cap,
-    }
-    return weights, summary
+def _pseudo_table(resolved: dict):
+    """The input, its grid, its pseudo-value table (IPCW with --ipcw) and the censoring summary."""
+    from .pseudo import make_grid, pseudo_conditional
+    data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
+    if resolved.get("grid_times"):
+        grid = make_grid(data, times=_parse_floats(resolved["grid_times"]))
+    else:
+        grid = make_grid(data, percentiles=_parse_floats(resolved["grid_percentiles"]))
+    weights = summary = None
+    if resolved["ipcw"]:
+        from .cox import censoring_weights, fit_cox
+        model = fit_cox(data, target="censoring", covariates=_censor_names(resolved))
+        weights = censoring_weights(data, model, cap=float(resolved["weight_cap"]))
+        summary = {
+            "covariates": list(model.covariate_names),
+            "beta": model.beta.tolist(),
+            "cap": weights.cap,
+        }
+    return data, grid, pseudo_conditional(data, grid, weights), summary
 
 
 def cmd_transform(resolved: dict) -> None:
-    from .pseudo import pseudo_conditional
-    data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
-    grid = _grid_from(resolved, data)
-    weights, weight_summary = _maybe_weights(resolved, data)
-    table = pseudo_conditional(data, grid, weights)
+    data, grid, table, weight_summary = _pseudo_table(resolved)
     out = Path(resolved["output"])
     table.to_csv(out)
     meta = {
@@ -176,11 +171,7 @@ def cmd_transform(resolved: dict) -> None:
 
 def cmd_train(resolved: dict) -> None:
     from .net import default_grid, grid_search, save_model
-    from .pseudo import pseudo_conditional
-    data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
-    grid = _grid_from(resolved, data)
-    weights, _ = _maybe_weights(resolved, data)
-    table = pseudo_conditional(data, grid, weights)
+    data, grid, table, _ = _pseudo_table(resolved)
     configs = default_grid(epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]))
     _, model = grid_search(
         table,
@@ -223,7 +214,6 @@ def cmd_predict(resolved: dict) -> None:
 
 
 def cmd_evaluate(resolved: dict) -> None:
-    from .estimators import censoring_kaplan_meier
     from .metrics import evaluate_predictions
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     if (resolved.get("model") is None) == (resolved.get("predictions") is None):
@@ -237,7 +227,7 @@ def cmd_evaluate(resolved: dict) -> None:
         raise DataError("--times applies only with --model")
     else:
         pred, times = load_predictions(resolved["predictions"], len(data))
-    report = evaluate_predictions(data, pred, times, censoring_kaplan_meier(data))
+    report = evaluate_predictions(data, pred, times)
     out = Path(resolved["output"])
     report.to_csv(out)
     report.to_json(out.with_suffix(out.suffix + ".json"))

@@ -178,8 +178,6 @@ def load_dataset(path, drop_incomplete: bool = False) -> Dataset:
             return np.isin(block[:, 1], (0.0, 1.0)).all() and (block[:, 0] >= 0).all()
 
         values = _read_rows(reader, len(header), parse_row, block_ok)
-    if not len(values):
-        raise DataError("empty dataset")
     time, cov = values[:, 0].copy(), values[:, 2:].copy()
     return Dataset(time, values[:, 1] == 1.0, cov, tuple(header[2:]))
 

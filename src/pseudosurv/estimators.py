@@ -83,8 +83,6 @@ def kaplan_meier(data: Dataset) -> StepSurvivalCurve:
     every value is a single division, survivors / n, hence exactly the
     empirical survival function.
     """
-    if len(data) == 0:
-        raise DataError("empty dataset")
     u, d, n = _event_table(data.time, data.event)
     if u.size == 0:
         return StepSurvivalCurve(u, d.astype(float), 1.0)
@@ -266,11 +264,12 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
     The weights come in blocks of about ``_BLOCK_CELLS`` cells (1 MiB, inside
     a per-core L2 cache; a sample of at most 8 MiB of weights is one block),
     so memory is O(n + len(u)) beyond those 8 MiB, and each weight costs
-    about four passes: product, exp, reciprocal and the column sum.  B adds the subjects one by one in sample order whatever the block
-    size; a one-column B is summed pairwise over the same groups of
-    ``_SUM_GROUP`` subjects as always.  Returns (A, B, w) where ``w`` is the
-    sample's at-risk weight block (see :func:`_at_risk_weights`) when the
-    sample is one block, else None.
+    about four passes: product, exp, reciprocal and the column sum.  B adds
+    the subjects one by one in sample order whatever the block size; a
+    one-column B is summed pairwise over the same groups of ``_SUM_GROUP``
+    subjects as always.  Returns (A, B, w) where ``w`` is the sample's
+    at-risk weight block (see :func:`_at_risk_weights`) when the sample is
+    one block, else None.
     """
     K = u.size
     col = np.searchsorted(u, times, side="left")
@@ -299,8 +298,6 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
     estimator comes back.  The sums run over blocks of subjects, so memory is
     linear in the number of subjects.
     """
-    if len(data) == 0:
-        raise DataError("empty dataset")
     if weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")
     u = np.unique(data.time[data.event])

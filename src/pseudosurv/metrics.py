@@ -168,15 +168,8 @@ def brier(data: Dataset, predicted_survival, eval_times, censor_curve: StepSurvi
     return out
 
 
-def evaluate_predictions(
-    data: Dataset,
-    predicted_survival,
-    eval_times,
-    censor_curve: StepSurvivalCurve | None = None,
-) -> EvalReport:
-    """Bundle both metrics into a report; fits the censoring curve if absent."""
-    if censor_curve is None:
-        censor_curve = censoring_kaplan_meier(data)
+def evaluate_predictions(data: Dataset, predicted_survival, eval_times) -> EvalReport:
+    """Bundle both metrics into a report, with the censoring Kaplan-Meier curve of ``data``."""
     c_vals, n_pairs = c_index(data, predicted_survival, eval_times)
-    b_vals = brier(data, predicted_survival, eval_times, censor_curve)
+    b_vals = brier(data, predicted_survival, eval_times, censoring_kaplan_meier(data))
     return EvalReport(np.array(eval_times, dtype=float, ndmin=1), c_vals, b_vals, n_pairs)

@@ -421,14 +421,13 @@ def _score_config(ctx: dict, config_idx: int) -> float:
     """Cross-validate one config: its mean held-out c-index over the folds."""
     config: MlpConfig = ctx["grid"][config_idx]
     fold_scores = []
-    for fold, held in enumerate(ctx["folds"]):
+    for fold, (train_subjects, held_data) in enumerate(ctx["folds"]):
         unit_seed = derived_seed(ctx["seed"], config.content_key(), fold)
-        train_table = ctx["table"].subset_subjects(np.setdiff1d(ctx["subjects"], held))
+        train_table = ctx["table"].subset_subjects(train_subjects)
         try:
             model = train(train_table, replace(config, seed=unit_seed))
         except NumericError as exc:
             raise NumericError(f"config {config.content_key()}, fold {fold}: {exc}") from exc
-        held_data = ctx["data"].subset(held)
         pred = predict_survival(model, held_data.covariates, ctx["times"])
         values, _ = c_index(held_data, pred, ctx["times"])
         fold_scores.append(float(np.nanmean(values)))
@@ -463,14 +462,16 @@ def grid_search(
     if budget > len(grid) or budget < 1:
         raise DataError("budget must be in 1..len(grid)")
     subjects = table.subjects()
-    folds = make_cv_folds(subjects, k, seed)
     times = np.asarray(eval_times.cutpoints, dtype=float)
-    for fold, held in enumerate(folds):
+    folds = []  # per fold: the training subjects and the held-out data, built once
+    for fold, held in enumerate(make_cv_folds(subjects, k, seed)):
+        held_data = data.subset(held)
         # pairs depend on the data only: a fold without one scores no config
-        _, pairs = c_index(data.subset(held), np.zeros((held.size, times.size)), times)
+        _, pairs = c_index(held_data, np.zeros((held.size, times.size)), times)
         if not pairs.any():
             raise DataError(f"CV fold {fold} has no comparable pair at the grid times; "
                             "use fewer folds")
+        folds.append((np.setdiff1d(subjects, held), held_data))
 
     sample_rng = derived_rng(seed, "config-sample")
     chosen = np.sort(sample_rng.choice(len(grid), size=budget, replace=False)).tolist()
@@ -478,9 +479,7 @@ def grid_search(
     ctx = {
         "grid": grid,
         "table": table,
-        "data": data,
         "folds": folds,
-        "subjects": subjects,
         "times": times,
         "seed": seed,
     }

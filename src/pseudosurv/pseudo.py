@@ -8,7 +8,8 @@ IPCW-weighted variant for covariate-dependent censoring.
 
 The leave-one-out survival estimates are computed by incremental risk-set
 adjustment (prefix/suffix products over the event times), not by n separate
-refits; a naive refit oracle is kept alongside for verification.
+refits; the test suite checks them against a naive refit oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations

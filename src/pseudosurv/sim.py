@@ -83,7 +83,8 @@ def calibrate_censoring(survival_times, target_rate: float) -> float:
     def censored_fraction(rate):
         return float(np.mean(-np.expm1(-rate * x)))
 
-    lo, hi = 0.0, 1.0 / float(np.median(x))
+    k = (x.size - 1) // 2, x.size // 2  # the middle values: np.median would import numpy.ma
+    lo, hi = 0.0, 1.0 / float(np.mean(np.partition(x, k)[k[0] : k[1] + 1]))
     for _ in range(200):
         if censored_fraction(hi) >= target_rate:
             break

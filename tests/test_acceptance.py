@@ -217,6 +217,7 @@ class TestCriterion4GradientCorrectness:
         _criterion(4, ok, f"max relative gradient error {worst:.2e} over {len(rel_errors)} parameters")
 
 
+@pytest.mark.slow
 class TestCriterion5FriedmanComparison:
     def test_net_noninferior_to_cox(self, friedman_study):
         c_net = float(np.mean([np.nanmean(r["net6"].c_index) for r in friedman_study]))
@@ -232,6 +233,7 @@ class TestCriterion5FriedmanComparison:
         )
 
 
+@pytest.mark.slow
 class TestCriterion6IntervalRobustness:
     def test_two_vs_six_intervals(self, friedman_study):
         c_six = float(np.mean([np.nanmean(r["net6"].c_index) for r in friedman_study]))
@@ -241,6 +243,7 @@ class TestCriterion6IntervalRobustness:
         _criterion(6, ok, f"mean c-index 6 intervals {c_six:.3f} vs 2 intervals {c_two:.3f}, |diff| {diff:.3f}")
 
 
+@pytest.mark.slow
 class TestCriterion7DependentCensoringEquivalence:
     def test_c_index_equivalence_and_ipcw_brier(self, dependent_censoring_study):
         means = {

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pseudosurv import gen_cox, CoxSimSpec, Dataset, save_dataset, load_dataset, DataError
+from pseudosurv import FriedmanSpec, gen_friedman_aft
 import pseudosurv as ps
 from pseudosurv.cli import main
 from pseudosurv.util import derived_seed
@@ -94,6 +95,22 @@ class TestTransform:
         assert meta["ipcw"] is True
         assert meta["censoring_model"]["covariates"] == ["z_1"]
         assert meta["censoring_model"]["cap"] == 20.0
+
+    @pytest.mark.parametrize("via", ["flag", "config list"])
+    def test_censor_covariates_choose_the_censoring_model(self, tmp_path, via):
+        src, out, config = tmp_path / "p20.csv", tmp_path / "pseudo.csv", tmp_path / "c.json"
+        save_dataset(gen_friedman_aft(FriedmanSpec(n=120, seed=5)), src)
+        argv = ["transform", "--input", str(src), "--output", str(out), "--ipcw"]
+        if via == "flag":
+            argv += ["--censor-covariates", "z_3, z_1", "--grid-percentiles", "0.3"]
+        else:
+            config.write_text(json.dumps({"censor_covariates": ["z_3", "z_1"],
+                                          "grid_percentiles": [0.3]}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "pseudo.csv.meta.json").read_text())
+        assert meta["censoring_model"]["covariates"] == ["z_3", "z_1"]
+        assert len(meta["censoring_model"]["beta"]) == 2
 
     def test_schema_error_names_row_and_column(self, tmp_path):
         src = tmp_path / "bad.csv"
@@ -719,8 +736,9 @@ def test_hand_written_model_predicts(tmp_path):
 
 
 # arguments, with {d} for a directory holding data.csv, early.csv (12 subjects,
-# the two events first), an empty directory dir, malformed models and a config
-# file threads.json with a negative thread count, and the text the error must hold
+# the two events first), header.csv (no rows), an empty directory dir, malformed models
+# and a config file threads.json with a negative thread count, and the text the error
+# must hold
 HOSTILE = {
     "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
                                     "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
@@ -731,6 +749,11 @@ HOSTILE = {
                             "{d}/list.json: a model file must be a JSON object"),
     "model without config": (["predict", "--model", "{d}/v2.json", "--input", "{d}/data.csv",
                               "--output", "{d}/p.csv"], "{d}/v2.json: model file has no 'config'"),
+    "header-only input": (["transform", "--input", "{d}/header.csv", "--output", "{d}/o.csv"],
+                          "empty dataset"),
+    "unknown censoring covariate": (["transform", "--input", "{d}/data.csv", "--output",
+                                     "{d}/o.csv", "--ipcw", "--censor-covariates", "nope"],
+                                    "unknown covariate 'nope'"),
     "zero replicates": (["simulate", "--replicates", "0", "--out", "{d}/study"],
                         "replicates must be at least 1"),
     "nan grid time": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
@@ -783,6 +806,7 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     write_csv(tmp_path / "pred.csv", [["id", "2.5"]] + [[str(i), "0.5"] for i in range(5)])
     for case, (fields, _) in BAD_MODELS.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
+    write_csv(tmp_path / "header.csv", [["time", "event", "z_1"]])
     write_csv(tmp_path / "early.csv", [["time", "event", "z_1"]]
               + [[str(t), str(int(t <= 2)), f"{t % 3}"] for t in range(1, 13)])
     assert main([arg.format(d=tmp_path) for arg in args]) == 2

@@ -202,6 +202,17 @@ class TestEvalReport:
         assert np.all((report.c_index[ok] >= 0) & (report.c_index[ok] <= 1))
         assert np.all(report.brier >= 0)
 
+    def test_bundles_c_index_and_km_censored_brier_bit_for_bit(self, rng):
+        d = random_censored_dataset(rng, 90)
+        s = rng.random((90, 3))
+        times = np.quantile(d.time, [0.2, 0.5, 0.8])
+        report = evaluate_predictions(d, s, times)
+        c_vals, n_pairs = c_index(d, s, times)
+        b_vals = brier(d, s, times, censoring_kaplan_meier(d))
+        assert report.c_index.tobytes() == c_vals.tobytes()
+        assert report.n_pairs.tobytes() == n_pairs.tobytes()
+        assert report.brier.tobytes() == b_vals.tobytes()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             EvalReport(np.array([1.0]), np.array([0.5, 0.6]), np.array([0.1]), np.array([3]))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,6 +93,17 @@ def test_streamed_calibration_equals_one_draw(monkeypatch, block):
 def test_streamed_calibration_equals_one_draw_at_full_size():
     assert sim._CALIBRATION_DRAWS > sim._CALIBRATION_BLOCK
     _assert_same_generation(FriedmanSpec(n=500, censoring_rate=0.3, seed=1))
+
+
+def test_generation_leaves_out_numpy_ma():
+    # the calibration bracket takes its median from np.partition: np.median's first call
+    # imports numpy.ma, a cost every generating process would pay
+    code = ("import sys; from pseudosurv.sim import FriedmanSpec, gen_friedman_aft; "
+            "gen_friedman_aft(FriedmanSpec(n=50)); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestGenFriedmanAft:
