@@ -73,10 +73,7 @@ def fit_gee(
     cuts = grid.cutpoints
     ys = [pseudo_marginal(data, float(t), weights) for t in cuts]
     y = np.concatenate(ys)
-    X = np.zeros((n * J, J + p))
-    for j in range(J):
-        X[j * n : (j + 1) * n, j] = 1.0
-        X[j * n : (j + 1) * n, J:] = data.covariates
+    X = np.hstack([np.repeat(np.eye(J), n, axis=0), np.tile(data.covariates, (J, 1))])
 
     theta = np.zeros(J + p)
     theta[:J] = np.log(-np.log(np.clip([v.mean() for v in ys], 0.01, 0.99)))

@@ -361,7 +361,8 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudosurv",
-        description="Pseudo-value survival prediction: transform, train, predict, evaluate, simulate, split.",
+        description="Pseudo-value survival prediction: "
+                    "transform, train, predict, evaluate, simulate, split.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, handler, required, options) in _COMMANDS.items():

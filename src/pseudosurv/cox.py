@@ -110,10 +110,8 @@ def fit_cox(
     beta = np.zeros(p)
     ll, grad, hess = _partial_loglik(ts, evs, X, beta)
     path = [ll]
-    converged = False
     for _ in range(max_iter):
         if np.max(np.abs(grad)) <= 1e-8:
-            converged = True
             break
         try:
             step = np.linalg.solve(-hess, grad)
@@ -130,7 +128,7 @@ def fit_cox(
         beta = beta + scale * step
         ll, grad, hess = ll_new, grad_new, hess_new
         path.append(ll)
-    if not converged and np.max(np.abs(grad)) > 1e-8:
+    if np.max(np.abs(grad)) > 1e-8:
         raise NumericError("cox did not converge")
 
     # Breslow baseline at the converged (centered) coefficients.
@@ -158,8 +156,8 @@ def censoring_weights(data: Dataset, model: CoxModel, cap: float = 20.0) -> Weig
     if model.target != "censoring":
         raise DataError("model must be fit with target='censoring'")
     Z, _ = _select_columns(data, model.covariate_names)
-    risk = np.exp((Z - model.covariate_means) @ model.beta)
-    # an overflowed risk score stays finite; G then underflows to its floor as before
+    risk = np.exp(model.linear_predictor(Z))
+    # exp overflows above a linear predictor of 709.78; the largest float stands in for inf
     risk = np.minimum(risk, np.finfo(float).max)
     base = model.baseline_cumhaz
     return WeightFunction(base.times, base.values, risk, cap)

@@ -44,11 +44,8 @@ class StepSurvivalCurve:
         t_arr = np.asarray(t, dtype=float)
         if not np.all(t_arr >= 0):
             raise DataError("evaluation time must be nonnegative")
-        idx = np.searchsorted(self.times, t_arr, side=side) - 1
-        if self.times.size:
-            out = np.where(idx < 0, self.initial_value, self.values[np.maximum(idx, 0)])
-        else:
-            out = np.full_like(t_arr, self.initial_value, dtype=float)
+        idx = np.searchsorted(self.times, t_arr, side=side)
+        out = np.concatenate(([self.initial_value], self.values))[idx]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def at(self, t):
@@ -156,9 +153,9 @@ class WeightFunction:
     deep in the censoring tail.
 
     Memory is O(n + K) for n subjects and K jumps.  A (subjects x times) array
-    exists only when ``weights_at`` is asked for one, at three passes over it
-    (product, exp, reciprocal) plus the floor or the cap where they can bind;
-    the IPCW sums evaluate the same formula a block of about 1 MiB at a time.
+    exists only when ``weights_at`` asks for one (product, exp, reciprocal) or
+    ``surv_values`` is read (product, exp), plus the floor or the cap where they
+    can bind; the IPCW sums evaluate the formula a block of about 1 MiB at a time.
     """
 
     times: np.ndarray
@@ -265,9 +262,9 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
     a per-core L2 cache; a sample of at most 8 MiB of weights is one block),
     so memory is O(n + len(u)) beyond those 8 MiB, and each weight costs
     about four passes: product, exp, reciprocal and the column sum.  B adds
-    the subjects one by one in sample order whatever the block size; a
-    one-column B is summed pairwise over the same groups of ``_SUM_GROUP``
-    subjects as always.  Returns (A, B, w) where ``w`` is the sample's
+    the subjects one by one in sample order whatever the block size; with
+    one column (K == 1) numpy sums pairwise, so B is summed over fixed groups
+    of ``_SUM_GROUP`` subjects.  Returns (A, B, w) where ``w`` is the sample's
     at-risk weight block (see :func:`_at_risk_weights`) when the sample is
     one block, else None.
     """
@@ -301,8 +298,6 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
     if weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")
     u = np.unique(data.time[data.event])
-    if u.size == 0:
-        return StepSurvivalCurve(u, np.empty(0), 0.0)
     num, den, _ = _ipcw_sums(data.time, data.event, u, weights, np.arange(len(data)))
     return StepSurvivalCurve(u, np.cumsum(num / den), 0.0)
 

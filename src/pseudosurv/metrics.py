@@ -64,7 +64,7 @@ def _check_matrix(data: Dataset, predicted_survival, eval_times):
 
 
 def _later_counts(later: np.ndarray, s: np.ndarray, q: np.ndarray):
-    """Per query k: how many of the first ``later[q[k]]`` entries of ``s`` exceed / equal ``s[q[k]]``.
+    """Per query k: how many entries of ``s[:later[q[k]]]`` exceed / equal ``s[q[k]]``.
 
     ``later[i]`` is where the run of equal keys holding entry i starts, so the
     entries before it are those strictly ahead of i.  Inside each run the
@@ -98,7 +98,8 @@ def _later_counts(later: np.ndarray, s: np.ndarray, q: np.ndarray):
     greater[ids] = moved
     value_then_slot = np.sort(rank * n + slot)
     first = rank[q] * n
-    equal = np.searchsorted(value_then_slot, first + later[q]) - np.searchsorted(value_then_slot, first)
+    equal = (np.searchsorted(value_then_slot, first + later[q])
+             - np.searchsorted(value_then_slot, first))
     gt = np.where(nan[q], 0, greater[q])
     eq = np.where(nan[q], 0, equal)
     return gt, eq
@@ -147,24 +148,16 @@ def brier(data: Dataset, predicted_survival, eval_times, censor_curve: StepSurvi
     (1 - S_hat(t))^2 / G(t); subjects censored by t contribute nothing.
     """
     pred, times = _check_matrix(data, predicted_survival, eval_times)
+    g_before = censor_curve.at_left(data.time)
     out = np.empty(times.size)
-    for h in range(times.size):
-        t = times[h]
-        s = pred[:, h]
+    for h, t in enumerate(times):
         failed = data.event & (data.time <= t)
-        alive = data.time > t
-        contrib = np.zeros(len(data))
-        if failed.any():
-            g_before = np.atleast_1d(censor_curve.at_left(data.time[failed]))
-            if np.any(g_before <= 0):
-                raise NumericError("censoring support exhausted")
-            contrib[failed] = s[failed] ** 2 / g_before
-        if alive.any():
-            g_t = censor_curve.at(t)
-            if g_t <= 0:
-                raise NumericError("censoring support exhausted")
-            contrib[alive] = (1.0 - s[alive]) ** 2 / g_t
-        out[h] = contrib.mean()
+        scored = failed | (data.time > t)
+        g = np.where(failed, g_before, censor_curve.at(t))
+        if np.any(g[scored] <= 0):
+            raise NumericError("censoring support exhausted")
+        sq_err = np.where(failed, pred[:, h], 1.0 - pred[:, h]) ** 2
+        out[h] = np.divide(sq_err, g, out=np.zeros(len(data)), where=scored).mean()
     return out
 
 

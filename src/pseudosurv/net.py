@@ -401,8 +401,8 @@ def predict_survival(model: MlpModel, covariates, eval_times) -> np.ndarray:
     """
     marg = predict_marginal_matrix(model, covariates)
     t = np.atleast_1d(np.asarray(eval_times, dtype=float))
-    idx = np.searchsorted(model.cutpoints, t, side="right") - 1
-    return np.where(idx >= 0, marg[:, np.maximum(idx, 0)], 1.0)
+    idx = np.searchsorted(model.cutpoints, t, side="right")
+    return np.concatenate((np.ones((len(marg), 1)), marg), axis=1)[:, idx]
 
 
 def make_cv_folds(subjects: np.ndarray, k: int, seed: int) -> list[np.ndarray]:

@@ -192,18 +192,16 @@ def _km_loo(times: np.ndarray, events: np.ndarray, horizon: float):
     e = np.where(safe, 1.0 - (d - 1) / np.maximum(nrisk - 1, 1), 1.0)
 
     qprod = np.concatenate(([1.0], np.cumprod(q[:mstar])))
-    pprod_full = float(np.prod(p[:mstar])) if mstar else 1.0
+    pprod_full = float(np.prod(p[:mstar]))
     tail = np.ones(mstar + 1)
-    if mstar:
-        tail[:mstar] = np.cumprod(p[:mstar][::-1])[::-1]
+    tail[:mstar] = np.cumprod(p[:mstar][::-1])[::-1]
 
     a = np.searchsorted(u, times, side="right")  # event times <= T_i
     b = np.minimum(a, mstar)
     s_loo = qprod[b] * tail[b]
     own_event = events & (a >= 1) & (a <= mstar)
-    if own_event.any():
-        ai = a[own_event]
-        s_loo[own_event] = qprod[ai - 1] * e[ai - 1] * tail[ai]
+    ai = a[own_event]
+    s_loo[own_event] = qprod[ai - 1] * e[ai - 1] * tail[ai]
     return pprod_full, s_loo, False
 
 

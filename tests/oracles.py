@@ -21,6 +21,11 @@ the pseudo-value table writer that formatted every row's covariates.
 ``gen_friedman_aft`` is the nonlinear AFT generator as it was before it drew
 its calibration covariates a block at a time: the whole calibration matrix in
 one draw, kept as a byte oracle for datasets and their metadata.
+
+``brier`` is the IPCW Brier score as it was before it looked up G(T_i-) once
+per subject: a lookup per horizon for the failed subjects only, each group
+filled in behind its own support check, kept as a byte oracle for scores and
+``NumericError``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from pseudosurv import (
 from pseudosurv import sim
 from pseudosurv.data import _MISSING_TOKENS, write_csv
 from pseudosurv.estimators import _event_table
+from pseudosurv.metrics import _check_matrix
 from pseudosurv.util import derived_rng
 
 
@@ -553,3 +559,33 @@ def gen_friedman_aft(spec, return_info: bool = False):
         },
     }
     return data, info
+
+
+def brier(data: Dataset, predicted_survival, eval_times, censor_curve: StepSurvivalCurve):
+    """IPCW Brier score per horizon.
+
+    ``censor_curve`` must be the Kaplan-Meier of the censoring distribution
+    fit on the evaluation data.  Subjects observed to fail by t contribute
+    S_hat(t)^2 / G(T_i-); subjects still at risk contribute
+    (1 - S_hat(t))^2 / G(t); subjects censored by t contribute nothing.
+    """
+    pred, times = _check_matrix(data, predicted_survival, eval_times)
+    out = np.empty(times.size)
+    for h in range(times.size):
+        t = times[h]
+        s = pred[:, h]
+        failed = data.event & (data.time <= t)
+        alive = data.time > t
+        contrib = np.zeros(len(data))
+        if failed.any():
+            g_before = np.atleast_1d(censor_curve.at_left(data.time[failed]))
+            if np.any(g_before <= 0):
+                raise NumericError("censoring support exhausted")
+            contrib[failed] = s[failed] ** 2 / g_before
+        if alive.any():
+            g_t = censor_curve.at(t)
+            if g_t <= 0:
+                raise NumericError("censoring support exhausted")
+            contrib[alive] = (1.0 - s[alive]) ** 2 / g_t
+        out[h] = contrib.mean()
+    return out

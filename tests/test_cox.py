@@ -89,6 +89,16 @@ class TestFitCox:
         with pytest.raises(NumericError, match="cox did not converge"):
             fit_cox(data, max_iter=1)
 
+    def test_max_iter_is_the_number_of_newton_steps(self):
+        data = gen_cox(CoxSimSpec(n=500, beta=1.0, censoring_rate=0.3, seed=9))
+        full = fit_cox(data)
+        steps = len(full.loglik_path) - 1
+        exact = fit_cox(data, max_iter=steps)
+        assert exact.beta.tobytes() == full.beta.tobytes()
+        assert exact.loglik_path == full.loglik_path
+        with pytest.raises(NumericError, match="cox did not converge"):
+            fit_cox(data, max_iter=steps - 1)
+
     def test_covariate_subset(self):
         data = gen_cox(CoxSimSpec(n=400, beta=1.0, censoring_rate=0.3, seed=2))
         extended = Dataset(

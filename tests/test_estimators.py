@@ -113,6 +113,14 @@ class TestCurveEval:
         with pytest.raises(DataError):
             StepSurvivalCurve(np.array([2.0, 1.0]), np.array([0.5, 0.2]), 1.0)
 
+    def test_empty_curve_holds_its_initial_value(self):
+        c = StepSurvivalCurve(np.empty(0), np.empty(0), 0.25)
+        for evaluate in (c.at, c.at_left):
+            assert evaluate(0.0) == 0.25 and type(evaluate(3.0)) is float
+            out = evaluate(np.array([0.0, 1.5, 7.0]))
+            assert out.dtype == float and np.array_equal(out, [0.25, 0.25, 0.25])
+            assert evaluate(np.zeros((2, 3))).shape == (2, 3)
+
 
 class TestWeightedNelsonAalen:
     def test_unit_weights_match_unweighted(self):
@@ -142,6 +150,14 @@ class TestWeightedNelsonAalen:
         # the sample's weights pass through the validating constructor
         with pytest.raises(DataError, match="relative risks"):
             nelson_aalen_weighted(d, bad)
+
+    def test_all_censored_is_the_empty_curve(self):
+        d = simple([1, 2, 3], [0, 0, 0])
+        w = WeightFunction.constant(np.array([1.0, 2.0, 4.0]))
+        for curve, flat in ((nelson_aalen_weighted(d, w), 0.0), (ipcw_survival(d, w), 1.0)):
+            assert curve.times.size == curve.values.size == 0
+            assert curve.initial_value == flat
+            assert np.array_equal(curve.at(np.array([0.5, 3.0, 9.0])), [flat] * 3)
 
 
 class TestIpcwSurvival:

@@ -19,6 +19,7 @@ from pseudosurv import (
 )
 
 from conftest import random_censored_dataset
+from oracles import brier as oracle_brier
 
 
 def simple(times, events):
@@ -127,7 +128,55 @@ class TestCIndex:
         assert np.array_equal(values, expected_values)
 
 
+# quarter units from 0 to 6: horizons and curve jumps fall on, between, before
+# and after the cohort's half-unit times
+_QUARTERS = st.integers(0, 24).map(lambda k: k / 4)
+
+
+@st.composite
+def brier_cases(draw):
+    """A cohort with tied times, horizons, predictions and a censoring curve.
+
+    The curve is the cohort's censoring Kaplan-Meier (0 from the last time on
+    when that time is censored) or a random step curve that may fall to 0.
+    A single horizon's predictions are 1-d half the time.
+    """
+    n = draw(st.integers(1, 12))
+    times = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    data = simple(np.array(times) / 2, events)
+    horizons = np.array(draw(st.lists(_QUARTERS, min_size=1, max_size=4)))
+    unit = st.floats(0.0, 1.0)
+    pred = np.array(draw(st.lists(unit, min_size=n * horizons.size, max_size=n * horizons.size)))
+    pred = pred.reshape(n, horizons.size)
+    if horizons.size == 1 and draw(st.booleans()):
+        pred = pred[:, 0]
+    if draw(st.booleans()):
+        return data, pred, horizons, censoring_kaplan_meier(data)
+    jumps = sorted(draw(st.sets(_QUARTERS, max_size=4)))
+    values = sorted(draw(st.lists(unit, min_size=len(jumps), max_size=len(jumps))), reverse=True)
+    if values and draw(st.booleans()):
+        values[-1] = 0.0
+    return data, pred, horizons, StepSurvivalCurve(jumps, values, draw(unit))
+
+
+def _outcome(score, *args):
+    """The score's bytes, or the text of the NumericError it raises."""
+    try:
+        return score(*args).tobytes()
+    except NumericError as err:
+        return str(err)
+
+
 class TestBrier:
+    @settings(max_examples=300, deadline=None)
+    @given(brier_cases())
+    def test_equals_per_horizon_oracle(self, case):
+        # a subnormal G overflows a score to inf on both sides; a division of an
+        # unscored cell by G = 0 would raise FloatingPointError here
+        with np.errstate(over="ignore", divide="raise", invalid="raise"):
+            assert _outcome(brier, *case) == _outcome(oracle_brier, *case)
+
     def test_perfect_predictions_on_uncensored(self):
         d = simple([1, 2, 3, 4], [1, 1, 1, 1])
         g = censoring_kaplan_meier(d)

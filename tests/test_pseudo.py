@@ -115,6 +115,13 @@ class TestPseudoMarginal:
         assert np.allclose(values, pseudo_marginal_naive(d, 2.5), atol=1e-12)
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_horizon_before_the_first_event(self):
+        # a censoring at 1 comes before the horizon and no event does: KM is 1 there
+        d = simple([1.0, 3.0, 4.0, 5.0], [0, 1, 1, 0])
+        values = pseudo_marginal(d, 2.0)
+        assert np.array_equal(values, np.ones(4))
+        assert np.array_equal(values, pseudo_marginal_naive(d, 2.0))
+
 
 class TestPseudoConditional:
     def test_row_structure_matches_follow_up(self):
