@@ -54,11 +54,12 @@ def _select_columns(data: Dataset, covariates: Sequence[str] | None):
     return data.covariates[:, cols], names
 
 
-def _partial_loglik(ts, ev, X, beta):
+def _partial_loglik(ev, X, first, d, beta):
     """Breslow partial log-likelihood with gradient and Hessian.
 
-    Inputs must be sorted by time ascending.  Risk-set aggregates are
-    reverse cumulative sums evaluated at the first index of each tied group.
+    Inputs must be sorted by time ascending; ``first`` indexes the first row
+    of each distinct event time and ``d`` counts its events.  Risk-set
+    aggregates are reverse cumulative sums evaluated at those rows.
     """
     theta = X @ beta
     theta = theta - theta.max()  # rescale for a stable exp; cancels in every ratio
@@ -66,9 +67,6 @@ def _partial_loglik(ts, ev, X, beta):
     s0 = np.cumsum(r[::-1])[::-1]
     s1 = np.cumsum((r[:, None] * X)[::-1], axis=0)[::-1]
     s2 = np.cumsum(np.einsum("i,ij,ik->ijk", r, X, X)[::-1], axis=0)[::-1]
-
-    u, d = np.unique(ts[ev], return_counts=True)
-    first = np.searchsorted(ts, u, side="left")
     s0u, s1u, s2u = s0[first], s1[first], s2[first]
 
     ll = theta[ev].sum() - (d * np.log(s0u)).sum()
@@ -103,40 +101,42 @@ def fit_cox(
     order = np.argsort(data.time, kind="stable")
     ts = data.time[order]
     evs = ev[order]
-    means = X_raw.mean(axis=0)
-    X = X_raw[order] - means
-
-    p = X.shape[1]
-    beta = np.zeros(p)
-    ll, grad, hess = _partial_loglik(ts, evs, X, beta)
-    path = [ll]
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= 1e-8:
-            break
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            raise NumericError("cox did not converge") from None
-        scale = 1.0
-        for _ in range(30):
-            ll_new, grad_new, hess_new = _partial_loglik(ts, evs, X, beta + scale * step)
-            if ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
+    u, d = np.unique(ts[evs], return_counts=True)
+    first = np.searchsorted(ts, u, side="left")
+    # overflow on extreme covariates gives a non-finite likelihood or gradient, which the
+    # step and gradient tests refuse; numpy's warnings would only repeat that
+    with np.errstate(all="ignore"):
+        means = X_raw.mean(axis=0)
+        X = X_raw[order] - means
+        p = X.shape[1]
+        beta = np.zeros(p)
+        ll, grad, hess = _partial_loglik(evs, X, first, d, beta)
+        path = [ll]
+        for _ in range(max_iter):
+            if np.max(np.abs(grad), initial=0.0) <= 1e-8:
                 break
-            scale *= 0.5
-        else:
+            try:
+                step = np.linalg.solve(-hess, grad)
+            except np.linalg.LinAlgError:
+                raise NumericError("cox did not converge") from None
+            scale = 1.0
+            for _ in range(30):
+                ll_new, grad_new, hess_new = _partial_loglik(evs, X, first, d, beta + scale * step)
+                if ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
+                    break
+                scale *= 0.5
+            else:
+                raise NumericError("cox did not converge")
+            beta = beta + scale * step
+            ll, grad, hess = ll_new, grad_new, hess_new
+            path.append(ll)
+        if not np.max(np.abs(grad), initial=0.0) <= 1e-8:
             raise NumericError("cox did not converge")
-        beta = beta + scale * step
-        ll, grad, hess = ll_new, grad_new, hess_new
-        path.append(ll)
-    if np.max(np.abs(grad)) > 1e-8:
-        raise NumericError("cox did not converge")
 
     # Breslow baseline at the converged (centered) coefficients.
     theta = X @ beta
     r = np.exp(theta)
     s0 = np.cumsum(r[::-1])[::-1]
-    u, d = np.unique(ts[evs], return_counts=True)
-    first = np.searchsorted(ts, u, side="left")
     baseline = StepSurvivalCurve(u, np.cumsum(d / s0[first]), 0.0)
     return CoxModel(beta, baseline, means, names, target, tuple(path))
 

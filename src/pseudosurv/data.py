@@ -43,11 +43,9 @@ class Dataset:
         cov = np.asarray(self.covariates, dtype=float)
         if time.ndim != 1 or time.size == 0:
             raise DataError("empty dataset")
-        if cov.ndim == 1:
-            cov = cov.reshape(time.size, -1) if cov.size else cov.reshape(time.size, 0)
         if event.shape != time.shape:
             raise DataError("time and event lengths differ")
-        if cov.shape[0] != time.size:
+        if cov.ndim != 2 or cov.shape[0] != time.size:
             raise DataError("covariate rows do not match number of subjects")
         if len(self.covariate_names) != cov.shape[1]:
             raise DataError("covariate_names length does not match covariate columns")

@@ -210,20 +210,6 @@ class WeightFunction:
     def subset(self, indices) -> "WeightFunction":
         return WeightFunction(self.times, self.cumhaz, self.risk[indices], self.cap)
 
-    @classmethod
-    def constant(cls, weights, cap: float | None = None) -> "WeightFunction":
-        """Weights that are constant in time, one value >= 1 per subject.
-
-        The degenerate Cox factorisation: one jump of size 1 at time 0 and
-        risk log(w), so G = exp(-log w) = 1/w after time 0.
-        """
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if np.any(w < 1.0):
-            raise DataError("constant weights must be >= 1 (they are 1/G with G <= 1)")
-        if cap is None:
-            cap = max(20.0, float(w.max()))
-        return cls(np.array([0.0]), np.array([1.0]), np.log(w), cap)
-
 
 def _at_risk_weights(times, u, weights: WeightFunction, rows, offset: float):
     """Blocks of the sample's weights at ``u + offset`` times its at-risk indicators.

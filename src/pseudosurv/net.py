@@ -267,19 +267,6 @@ def _batch_loss_and_grads(ws: _Workspace, config: MlpConfig, m: int, rng) -> flo
     return loss
 
 
-def _loss_and_grads(weights, biases, config, X, y, dropout_rng=None):
-    """Objective (MSE + ridge) and its gradients for one batch.
-
-    Runs the training step's kernel on a fresh workspace; the gradients are copies.
-    """
-    sizes = [weights[0].shape[0], *(W.shape[1] for W in weights)]
-    ws = _Workspace(sizes, len(X), bool(config.dropout_rate))
-    for dst, src in zip([*ws.weights, *ws.biases, ws.acts[0], ws.y], [*weights, *biases, X, y]):
-        dst[...] = src
-    loss = _batch_loss_and_grads(ws, config, len(X), dropout_rng)
-    return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
-
-
 def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     """Train the regressor on a pseudo-value table by mini-batch gradient descent.
 
@@ -443,7 +430,6 @@ def grid_search(
     budget: int = 20,
     seed: int = 0,
     n_jobs: int = 1,
-    return_scores: bool = False,
 ):
     """Random Cartesian search: sample configs, score by subject-level k-fold CV.
 
@@ -454,9 +440,8 @@ def grid_search(
     retrained on the full table.  Each training unit derives its seed from
     the config's hyperparameter content and the fold, so scores do not depend
     on grid order or on ``n_jobs`` (configs are scored in worker processes
-    when ``n_jobs`` exceeds one).  With ``return_scores`` the per-config CV
-    scores come back as a third value, keyed by grid index.  A fold whose
-    subjects hold no comparable pair at ``eval_times`` raises DataError.
+    when ``n_jobs`` exceeds one).  A fold whose subjects hold no comparable
+    pair at ``eval_times`` raises DataError.
     """
     grid = list(grid)
     if budget > len(grid) or budget < 1:
@@ -490,8 +475,6 @@ def grid_search(
     refit_seed = derived_seed(seed, best.content_key(), "refit")
     final_config = replace(best, seed=refit_seed)
     model = train(table, final_config)
-    if return_scores:
-        return final_config, model, scores
     return final_config, model
 
 

@@ -101,9 +101,7 @@ class PseudoTable:
     @property
     def time_indicators(self) -> np.ndarray:
         """One-hot (n_rows, J) matrix marking each row's interval start."""
-        onehot = np.zeros((len(self), self.n_intervals))
-        onehot[np.arange(len(self)), self.time_index] = 1.0
-        return onehot
+        return np.eye(self.n_intervals)[self.time_index]
 
     def subjects(self) -> np.ndarray:
         return np.unique(self.subject_ids)

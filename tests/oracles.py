@@ -3,8 +3,12 @@
 ``train`` and ``_loss_and_grads`` are the training step as it was before it
 ran on preallocated buffers: the straightforward allocating form, kept as a
 byte oracle, since the buffered step must produce the same floats in the same
-order.  ``pseudo_marginal_naive`` refits the estimator once per subject and
-``nelson_aalen`` is the unweighted cumulative hazard.
+order.  ``buffered_loss_and_grads`` runs the buffered step's kernel on a fresh
+workspace and returns copies, so finite-difference checks can call the
+library's own gradient on plain arrays.  ``pseudo_marginal_naive`` refits the
+estimator once per subject and ``nelson_aalen`` is the unweighted cumulative
+hazard.  ``constant_weights`` builds a ``WeightFunction`` whose weights are
+constant in time, one value per subject.
 
 ``load_dataset``, ``save_dataset``, ``load_predictions``, ``write_predictions``
 and ``calibrate_censoring`` are the CSV reader and writers and the censoring
@@ -50,6 +54,7 @@ from pseudosurv import sim
 from pseudosurv.data import _MISSING_TOKENS, write_csv
 from pseudosurv.estimators import _event_table
 from pseudosurv.metrics import _check_matrix
+from pseudosurv.net import _batch_loss_and_grads, _Workspace
 from pseudosurv.util import derived_rng
 
 
@@ -124,6 +129,19 @@ def _loss_and_grads(weights, biases, config, X, y, dropout_rng=None):
         if l:
             upstream = upstream @ weights[l].T
     return loss, g_w, g_b
+
+
+def buffered_loss_and_grads(weights, biases, config, X, y, dropout_rng=None):
+    """Objective (MSE + ridge) and its gradients for one batch.
+
+    Runs the training step's kernel on a fresh workspace; the gradients are copies.
+    """
+    sizes = [weights[0].shape[0], *(W.shape[1] for W in weights)]
+    ws = _Workspace(sizes, len(X), bool(config.dropout_rate))
+    for dst, src in zip([*ws.weights, *ws.biases, ws.acts[0], ws.y], [*weights, *biases, X, y]):
+        dst[...] = src
+    loss = _batch_loss_and_grads(ws, config, len(X), dropout_rng)
+    return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
 
 def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
@@ -403,6 +421,20 @@ def calibrate_censoring(survival_times, target_rate: float) -> float:
 
 # subjects per block when IPCW sums are accumulated over a sample
 _CHUNK = 1024
+
+
+def constant_weights(weights, cap: float | None = None) -> WeightFunction:
+    """Weights that are constant in time, one value >= 1 per subject.
+
+    The degenerate Cox factorisation: one jump of size 1 at time 0 and
+    risk log(w), so G = exp(-log w) = 1/w after time 0.
+    """
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if np.any(w < 1.0):
+        raise DataError("constant weights must be >= 1 (they are 1/G with G <= 1)")
+    if cap is None:
+        cap = max(20.0, float(w.max()))
+    return WeightFunction(np.array([0.0]), np.array([1.0]), np.log(w), cap)
 
 
 def _survival(weights: WeightFunction, lam: np.ndarray) -> np.ndarray:

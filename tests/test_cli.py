@@ -96,6 +96,33 @@ class TestTransform:
         assert meta["censoring_model"]["covariates"] == ["z_1"]
         assert meta["censoring_model"]["cap"] == 20.0
 
+    @pytest.mark.parametrize("command", ["transform", "train"])
+    def test_ipcw_without_covariates(self, tmp_path, command):
+        # with p = 0 the censoring model is its Breslow baseline: every subject has risk 1
+        cohort = gen_cox(CoxSimSpec(n=60, dependent_censoring=True, seed=3))
+        data = Dataset(cohort.time, cohort.event, np.empty((len(cohort), 0)), ())
+        src, out = tmp_path / "p0.csv", tmp_path / "out"
+        save_dataset(data, src)
+        argv = [command, "--input", str(src), "--ipcw", "--weight-cap", "15",
+                "--grid-percentiles", "0.2,0.5"]
+        if command == "train":
+            argv += ["--model-out", str(out), "--budget", "1", "--folds", "2", "--epochs", "2"]
+        else:
+            argv += ["--output", str(out)]
+        assert main(argv) == 0
+        if command == "train":
+            return
+        data = load_dataset(src)
+        grid = ps.make_grid(data, percentiles=[0.2, 0.5])
+        model = ps.fit_cox(data, target="censoring")
+        base = model.baseline_cumhaz
+        constant = ps.WeightFunction(base.times, base.values, np.ones(len(data)), 15.0)
+        expected = ps.pseudo_conditional(data, grid, constant)
+        table = ps.pseudo_conditional(data, grid, ps.censoring_weights(data, model, cap=15.0))
+        assert table.pseudo.tobytes() == expected.pseudo.tobytes()
+        expected.to_csv(tmp_path / "expected.csv")
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     @pytest.mark.parametrize("via", ["flag", "config list"])
     def test_censor_covariates_choose_the_censoring_model(self, tmp_path, via):
         src, out, config = tmp_path / "p20.csv", tmp_path / "pseudo.csv", tmp_path / "c.json"
@@ -815,8 +842,8 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-# arguments, with {d} for an empty directory, whose run fails numerically, and the
-# text the error must hold
+# arguments, with {d} for a directory that holds huge.csv (covariates of +-1e308), whose
+# run fails numerically, and the text the error must hold
 NUMERIC_HOSTILE = {
     "gee diverges on 3 subjects": (["simulate", "--study", "cox-dependent", "--replicates", "1",
                                     "--n", "3", "--seed", "0", "--threads", "1",
@@ -824,16 +851,21 @@ NUMERIC_HOSTILE = {
     "gee diverges in a replicate of 6": (["simulate", "--study", "cox-dependent", "--replicates",
                                           "3", "--n", "6", "--seed", "0", "--threads", "1",
                                           "--out", "{d}/study"], "gee diverged"),
+    "cox overflows on covariates of 1e308": (["transform", "--input", "{d}/huge.csv", "--output",
+                                              "{d}/o.csv", "--ipcw"], "cox did not converge"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NUMERIC_HOSTILE))
 def test_hostile_invocation_exits_3(tmp_path, capsys, case):
     args, message = NUMERIC_HOSTILE[case]
+    write_csv(tmp_path / "huge.csv", [["time", "event", "z"]]
+              + [[str(t), str(t % 2), f"{(-1) ** t}e308"] for t in range(1, 7)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([arg.format(d=tmp_path) for arg in args]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and message in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err

@@ -10,6 +10,7 @@ from pseudosurv import (
     fit_cox,
     gen_cox,
 )
+from pseudosurv import cox
 from pseudosurv.cox import _partial_loglik
 
 from conftest import random_censored_dataset
@@ -17,10 +18,13 @@ from oracles import nelson_aalen
 
 
 def _sorted_inputs(data, target="event"):
+    """``_partial_loglik``'s arguments before ``beta``, built as ``fit_cox`` builds them."""
     ev = data.event if target == "event" else ~data.event
     order = np.argsort(data.time, kind="stable")
     X = data.covariates - data.covariates.mean(axis=0)
-    return data.time[order], ev[order], X[order]
+    ts, evs = data.time[order], ev[order]
+    u, d = np.unique(ts[evs], return_counts=True)
+    return evs, X[order], np.searchsorted(ts, u, side="left"), d
 
 
 class TestFitCox:
@@ -30,9 +34,9 @@ class TestFitCox:
         assert abs(model.beta[0] - 1.0) < 0.1
 
         # brute-force 1-d partial-likelihood grid search as the oracle
-        ts, ev, X = _sorted_inputs(data)
+        args = _sorted_inputs(data)
         betas = np.arange(0.5, 1.5, 0.001)
-        lls = [_partial_loglik(ts, ev, X, np.array([b]))[0] for b in betas]
+        lls = [_partial_loglik(*args, np.array([b]))[0] for b in betas]
         oracle = betas[int(np.argmax(lls))]
         assert abs(model.beta[0] - oracle) <= 0.001 + 1e-9
 
@@ -59,16 +63,16 @@ class TestFitCox:
 
     def test_gradient_matches_finite_differences(self, rng):
         data = random_censored_dataset(rng, 120, p=3)
-        ts, ev, X = _sorted_inputs(data)
+        args = _sorted_inputs(data)
         h = 1e-5
         for _ in range(10):
             beta = rng.uniform(-1.0, 1.0, size=3)
-            _, grad, _ = _partial_loglik(ts, ev, X, beta)
+            _, grad, _ = _partial_loglik(*args, beta)
             for j in range(3):
                 step = np.zeros(3)
                 step[j] = h
-                lp = _partial_loglik(ts, ev, X, beta + step)[0]
-                lm = _partial_loglik(ts, ev, X, beta - step)[0]
+                lp = _partial_loglik(*args, beta + step)[0]
+                lm = _partial_loglik(*args, beta - step)[0]
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad[j] - fd) / max(abs(fd), 1e-8) <= 1e-6
 
@@ -78,6 +82,29 @@ class TestFitCox:
         path = np.asarray(model.loglik_path)
         assert path.size >= 2
         assert np.all(np.diff(path) >= -1e-9)
+
+    def test_rejected_newton_step_is_halved(self, monkeypatch):
+        # two subjects far out on z make a full Newton step overshoot
+        rng = np.random.default_rng(4)
+        n = rng.integers(6, 30)
+        z = np.zeros((n, 1))
+        k = rng.integers(1, 3)
+        z[rng.choice(n, k, replace=False), 0] = rng.normal(0, 6, k)
+        z[:, 0] += rng.normal(0, 0.3, n)
+        t = rng.exponential(1.0, n) * np.exp(-0.7 * z[:, 0])
+        e = rng.random(n) < 0.7
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _partial_loglik(*args)
+
+        monkeypatch.setattr(cox, "_partial_loglik", counting)
+        model = fit_cox(Dataset(t, e, z, ("z_1",)))
+        # one call per accepted step plus the start: any extra call is a rejected step
+        assert len(calls) > len(model.loglik_path)
+        assert np.all(np.diff(model.loglik_path) >= 0.0)
+        assert np.isfinite(model.beta).all()
 
     def test_no_target_events(self):
         d = Dataset(np.array([1.0, 2.0]), np.array([True, True]), np.zeros((2, 1)), ("z_1",))

@@ -15,7 +15,7 @@ from pseudosurv import (
 )
 
 from conftest import random_censored_dataset
-from oracles import nelson_aalen
+from oracles import constant_weights, nelson_aalen
 
 
 def simple(times, events):
@@ -44,6 +44,10 @@ class TestKaplanMeier:
     def test_empty_dataset_message(self):
         with pytest.raises(DataError, match="empty dataset"):
             Dataset(np.array([]), np.array([], dtype=bool), np.empty((0, 0)), ())
+
+    def test_covariates_must_be_a_matrix(self):
+        with pytest.raises(DataError, match="covariate rows"):
+            Dataset(np.array([1.0, 2.0]), np.array([True, True]), np.array([0.5, 1.0]), ("z_1",))
 
     def test_uncensored_equals_empirical_everywhere(self, rng):
         times = rng.exponential(3.0, 150) + 0.01
@@ -125,27 +129,27 @@ class TestCurveEval:
 class TestWeightedNelsonAalen:
     def test_unit_weights_match_unweighted(self):
         d = simple([1, 2, 3], [1, 1, 1])
-        curve = nelson_aalen_weighted(d, WeightFunction.constant(np.ones(3)))
+        curve = nelson_aalen_weighted(d, constant_weights(np.ones(3)))
         assert curve.at(3.0) == pytest.approx(1 / 3 + 1 / 2 + 1, abs=1e-15)
         plain = nelson_aalen(d)
         assert np.allclose(curve.values, plain.values)
 
     def test_constant_weights_cancel(self, rng):
         d = random_censored_dataset(rng, 40)
-        ones = nelson_aalen_weighted(d, WeightFunction.constant(np.ones(len(d))))
-        scaled = nelson_aalen_weighted(d, WeightFunction.constant(np.full(len(d), 7.5)))
+        ones = nelson_aalen_weighted(d, constant_weights(np.ones(len(d))))
+        scaled = nelson_aalen_weighted(d, constant_weights(np.full(len(d), 7.5)))
         assert np.allclose(ones.values, scaled.values, atol=1e-12)
 
     def test_two_subject_hand_example(self):
         d = simple([1, 2], [1, 1])
-        w = WeightFunction.constant(np.array([2.0, 1.0]))
+        w = constant_weights(np.array([2.0, 1.0]))
         curve = nelson_aalen_weighted(d, w)
         assert curve.at(1.0) == pytest.approx(2 / 3, abs=1e-15)
         assert curve.at(2.0) == pytest.approx(2 / 3 + 1.0, abs=1e-15)
 
     def test_invalid_weight_rejected(self):
         d = simple([1, 2], [1, 1])
-        bad = WeightFunction.constant(np.array([2.0, 1.0]), cap=np.inf)
+        bad = constant_weights(np.array([2.0, 1.0]), cap=np.inf)
         object.__setattr__(bad, "risk", np.array([np.nan, 0.0]))  # bypasses validation
         # the sample's weights pass through the validating constructor
         with pytest.raises(DataError, match="relative risks"):
@@ -153,7 +157,7 @@ class TestWeightedNelsonAalen:
 
     def test_all_censored_is_the_empty_curve(self):
         d = simple([1, 2, 3], [0, 0, 0])
-        w = WeightFunction.constant(np.array([1.0, 2.0, 4.0]))
+        w = constant_weights(np.array([1.0, 2.0, 4.0]))
         for curve, flat in ((nelson_aalen_weighted(d, w), 0.0), (ipcw_survival(d, w), 1.0)):
             assert curve.times.size == curve.values.size == 0
             assert curve.initial_value == flat
@@ -163,24 +167,24 @@ class TestWeightedNelsonAalen:
 class TestIpcwSurvival:
     def test_single_event(self):
         d = simple([1.0], [1])
-        w = WeightFunction.constant(np.ones(1))
+        w = constant_weights(np.ones(1))
         assert ipcw_survival(d, w).at(1.0) == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_no_events_flat_one(self):
         d = simple([1, 2, 3], [0, 0, 0])
-        w = WeightFunction.constant(np.ones(3))
+        w = constant_weights(np.ones(3))
         curve = ipcw_survival(d, w)
         assert curve.at(2.5) == 1.0
 
     def test_hand_nelson_aalen(self):
         d = simple([1, 2, 3, 4], [1, 0, 1, 1])
-        w = WeightFunction.constant(np.ones(4))
+        w = constant_weights(np.ones(4))
         assert ipcw_survival(d, w).at(3.0) == pytest.approx(np.exp(-(1 / 4 + 1 / 2)), abs=1e-15)
 
     def test_constant_weights_equal_exp_neg_na(self, rng):
         for _ in range(5):
             d = random_censored_dataset(rng, 50)
-            w = WeightFunction.constant(np.full(len(d), 3.0))
+            w = constant_weights(np.full(len(d), 3.0))
             curve = ipcw_survival(d, w)
             plain = nelson_aalen(d)
             assert np.allclose(curve.values, np.exp(-plain.values), atol=1e-12)
@@ -189,7 +193,7 @@ class TestIpcwSurvival:
         times = rng.exponential(5.0, 400) + 0.01
         d = Dataset(times, np.ones(400, dtype=bool), np.empty((400, 0)), ())
         km = kaplan_meier(d)
-        ipcw = ipcw_survival(d, WeightFunction.constant(np.ones(400)))
+        ipcw = ipcw_survival(d, constant_weights(np.ones(400)))
         for q in (0.25, 0.5, 0.75):
             t = float(np.quantile(times, q))
             assert abs(km.at(t) - ipcw.at(t)) <= 0.05
@@ -241,11 +245,11 @@ class TestWeightFunction:
         assert np.array_equal(w.subset([3, 1]).weights_at(u), expected[[3, 1]])
 
     def test_constant_is_one_jump_at_zero(self):
-        w = WeightFunction.constant(np.array([1.0, 4.0]))
+        w = constant_weights(np.array([1.0, 4.0]))
         assert np.array_equal(w.weights_at(0.0), [1.0, 1.0])
         assert w.weights_at(3.0) == pytest.approx([1.0, 4.0], abs=1e-14)
         with pytest.raises(DataError):
-            WeightFunction.constant(np.array([0.5]))
+            constant_weights(np.array([0.5]))
 
 
 def test_censoring_km_flips_indicator():

@@ -25,9 +25,11 @@ from pseudosurv import (
     save_model,
     train,
 )
-from pseudosurv.net import MlpModel, _loss_and_grads, default_grid, make_cv_folds
+from pseudosurv import net
+from pseudosurv.net import MlpModel, default_grid, make_cv_folds
 
 import oracles
+from oracles import buffered_loss_and_grads
 
 
 def toy_table(rng, n=80, J=3, p=2, pseudo=None):
@@ -111,10 +113,10 @@ class TestTraining:
         X = rng.standard_normal((12, 5))
         y = rng.random(12)
 
-        _, g_w, g_b = _loss_and_grads(weights, biases, config, X, y)
+        _, g_w, g_b = buffered_loss_and_grads(weights, biases, config, X, y)
 
         def objective():
-            return _loss_and_grads(weights, biases, config, X, y)[0]
+            return buffered_loss_and_grads(weights, biases, config, X, y)[0]
 
         checked = 0
         h = 1e-6
@@ -156,7 +158,7 @@ class TestTraining:
         y = rng.random(20) * 1.4 - 0.2
 
         def objective():
-            return _loss_and_grads(weights, biases, config, X, y, np.random.default_rng(9))
+            return buffered_loss_and_grads(weights, biases, config, X, y, np.random.default_rng(9))
 
         _, g_w, g_b = objective()
         h = 1e-6
@@ -339,7 +341,7 @@ class TestGridSearch:
         assert best.content_key() == cfg.content_key()
         assert model.config.content_key() == cfg.content_key()
 
-    def test_duplicate_configs_share_scores(self, rng):
+    def test_duplicate_configs_share_scores(self, rng, monkeypatch):
         data = gen_cox(CoxSimSpec(n=120, censoring_rate=0.3, seed=6))
         grid_times = make_grid(data, percentiles=[0.3, 0.6])
         with warnings.catch_warnings():
@@ -347,10 +349,16 @@ class TestGridSearch:
             table = pseudo_conditional(data, grid_times)
         cfg = small_config(epochs=10)
         other = small_config(epochs=10, activation="tanh")
-        _, _, scores = grid_search(
-            table, data, [cfg, other, cfg], k=3, eval_times=grid_times,
-            budget=3, seed=0, return_scores=True,
-        )
+        scores = {}
+        score_config = net._score_config
+
+        def recording(ctx, config_idx):  # at n_jobs=1 configs are scored in this process
+            scores[config_idx] = score_config(ctx, config_idx)
+            return scores[config_idx]
+
+        monkeypatch.setattr(net, "_score_config", recording)
+        grid_search(table, data, [cfg, other, cfg], k=3, eval_times=grid_times, budget=3, seed=0)
+        assert sorted(scores) == [0, 1, 2]
         assert scores[0] == scores[2]
 
     def test_fold_partition(self):
