@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericError
-from .estimators import StepSurvivalCurve, WeightFunction
+from .estimators import _BLOCK_CELLS, StepSurvivalCurve, WeightFunction
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,50 @@ def _partial_loglik(ev, X, first, d, beta):
 
     Inputs must be sorted by time ascending; ``first`` indexes the first row
     of each distinct event time and ``d`` counts its events.  Risk-set
-    aggregates are reverse cumulative sums evaluated at those rows.
+    aggregates are reverse cumulative sums evaluated at those rows.  The p x p
+    aggregate sums r x x' over blocks of about ``_BLOCK_CELLS`` cells taken
+    from the end, each headed by the total so far, and keeps it only at
+    ``first``; the Hessian sums its terms in time order, by blocks behind a
+    running total.  Both sums add the rows in the order one whole-array sum
+    would, so memory is O(K p^2) for K distinct event times, not O(n p^2).
     """
+    n, p = X.shape
     theta = X @ beta
     theta = theta - theta.max()  # rescale for a stable exp; cancels in every ratio
     r = np.exp(theta)
     s0 = np.cumsum(r[::-1])[::-1]
     s1 = np.cumsum((r[:, None] * X)[::-1], axis=0)[::-1]
-    s2 = np.cumsum(np.einsum("i,ij,ik->ijk", r, X, X)[::-1], axis=0)[::-1]
-    s0u, s1u, s2u = s0[first], s1[first], s2[first]
+    s0u, s1u = s0[first], s1[first]
+    step = max(1, _BLOCK_CELLS // max(1, p * p))
+    s2u = np.empty((first.size, p, p))
+    total = np.zeros((p, p))
+    for hi in range(n, 0, -step):
+        lo = max(hi - step, 0)
+        rows = slice(hi - 1, lo - 1 if lo else None, -1)
+        run = np.einsum("i,ij,ik->ijk", r[rows], X[rows], X[rows])
+        run[0] += total  # einsum writes no -0.0, so a zero total changes no bits
+        np.cumsum(run, axis=0, out=run)
+        total = run[-1].copy()
+        at = slice(*np.searchsorted(first, [lo, hi]))
+        s2u[at] = run[hi - 1 - first[at]]
 
     ll = theta[ev].sum() - (d * np.log(s0u)).sum()
     mean = s1u / s0u[:, None]
     grad = X[ev].sum(axis=0) - (d[:, None] * mean).sum(axis=0)
-    hess = -(
-        d[:, None, None] * (s2u / s0u[:, None, None] - mean[:, :, None] * mean[:, None, :])
-    ).sum(axis=0)
-    return ll, grad, hess
+    # numpy sums a (K, 1, 1) array pairwise, so with p <= 1 the terms stay one block
+    K = first.size
+    step = max(1, K if p <= 1 else _BLOCK_CELLS // (p * p))
+    buf = np.empty((min(step, K) + 1, p, p))
+    total = np.zeros((p, p))
+    for lo in range(0, K, step):
+        hi = min(lo + step, K)
+        term = buf[1 : hi - lo + 1]
+        np.divide(s2u[lo:hi], s0u[lo:hi, None, None], out=term)
+        term -= mean[lo:hi, :, None] * mean[lo:hi, None, :]
+        term *= d[lo:hi, None, None]
+        buf[0] = total
+        total = buf[int(lo == 0) : hi - lo + 1].sum(axis=0)  # the first block has no head
+    return ll, grad, -total
 
 
 def fit_cox(

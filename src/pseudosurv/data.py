@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .util import derived_rng, freeze
+from .util import derived_rng, distinct, freeze
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 _CHUNK_CELLS = 2048  # cells per float pass: bounds the row text held at once
@@ -226,7 +226,7 @@ def load_predictions(path, n_expected: int):
             except ValueError:
                 return False
             if (ids.min() < 0 or ids.max() >= n_expected or seen[ids].any()
-                    or np.unique(ids).size < ids.size):
+                    or distinct(ids).size < ids.size):
                 return False
             seen[ids] = True
             return True

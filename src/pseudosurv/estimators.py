@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .util import freeze
+from .util import distinct, freeze
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
     """
     if weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")
-    u = np.unique(data.time[data.event])
+    u = distinct(data.time[data.event])
     num, den, _ = _ipcw_sums(data.time, data.event, u, weights, np.arange(len(data)))
     return StepSurvivalCurve(u, np.cumsum(num / den), 0.0)
 

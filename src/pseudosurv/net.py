@@ -274,17 +274,28 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     (stored on the model and re-applied at prediction); the one-hot interval
     indicators pass through untouched.  The output bias starts at the logit
     of the clipped mean pseudo value so early epochs are not spent drifting
-    toward the response level.  A non-finite batch loss raises
-    :class:`NumericError` naming the epoch and the batch.
+    toward the response level.  A covariate whose mean or standard deviation
+    overflows, or a non-finite batch loss, raises :class:`NumericError`,
+    naming the covariates or the epoch and the batch.
     """
     if len(table) == 0:
         raise DataError("empty pseudo table")
-    mean = table.covariates.mean(axis=0)
-    std = table.covariates.std(axis=0)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        mean = table.covariates.mean(axis=0)
+        std = table.covariates.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(std)).tolist()  # a non-finite mean makes std one too
+    if bad:
+        names = ", ".join(table.covariate_names[k] for k in bad)
+        raise NumericError(f"covariates {names} overflow their mean or standard deviation")
     std = np.where(std > 0, std, 1.0)
-    X = np.hstack([(table.covariates - mean) / std, table.time_indicators])
+    # the design matrix [(covariates - mean) / std, one-hot interval], written in place
+    n_rows, p = table.covariates.shape
+    n_in = p + table.n_intervals
+    X = np.zeros((n_rows, n_in))
+    np.subtract(table.covariates, mean, out=X[:, :p])
+    X[:, :p] /= std
+    X[np.arange(n_rows), p + table.time_index] = 1.0
     y = table.pseudo
-    n_rows, n_in = X.shape
 
     rng = derived_rng(config.seed, "mlp-train")
     sizes = [n_in, *config.hidden_layers, 1]
@@ -456,7 +467,7 @@ def grid_search(
         if not pairs.any():
             raise DataError(f"CV fold {fold} has no comparable pair at the grid times; "
                             "use fewer folds")
-        folds.append((np.setdiff1d(subjects, held), held_data))
+        folds.append((subjects[~np.isin(subjects, held)], held_data))
 
     sample_rng = derived_rng(seed, "config-sample")
     chosen = np.sort(sample_rng.choice(len(grid), size=budget, replace=False)).tolist()

@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, write_csv
 from .errors import DataError
 from .estimators import WeightFunction, _at_risk_weights, _event_table, _ipcw_sums
-from .util import freeze
+from .util import distinct, freeze, quantile
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class PseudoTable:
         return np.eye(self.n_intervals)[self.time_index]
 
     def subjects(self) -> np.ndarray:
-        return np.unique(self.subject_ids)
+        return distinct(self.subject_ids)
 
     def subset_subjects(self, keep) -> "PseudoTable":
         mask = np.isin(self.subject_ids, np.asarray(keep))
@@ -158,7 +158,7 @@ def make_grid(
         q = np.asarray(percentiles, dtype=float)
         if q.size == 0 or not (np.all((q > 0) & (q < 1)) and np.all(np.diff(q) > 0)):
             raise DataError("quantile levels must be strictly increasing in (0, 1)")
-        cuts = np.unique(np.quantile(data.time, q))
+        cuts = distinct(quantile(np.sort(data.time), q))
     else:
         cuts = np.asarray(times, dtype=float)
     if cuts.size and cuts[-1] >= data.time.max():
@@ -265,7 +265,7 @@ def _loo_pseudo(times, events, horizon, weights=None, rows=None, time_offset=0.0
         if exact:
             return (times > horizon).astype(float), s_full, s_loo
         return m * s_full - (m - 1) * s_loo, s_full, s_loo
-    u = np.unique(times[events])
+    u = distinct(times[events])
     u = u[u <= horizon]
     if rows is None:
         rows = np.arange(m)

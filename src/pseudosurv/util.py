@@ -15,6 +15,33 @@ def freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-d array without NaN, by the same sort.
+
+    numpy 2.4's plain ``np.unique`` and ``np.quantile`` import ``numpy.ma``
+    (about 10 ms and 1.3 MB on their first call in a process); the commands
+    use these helpers instead.
+    """
+    ordered = np.sort(values)
+    new = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return ordered[new]
+
+
+def quantile(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile``'s default (linear) quantiles ``q`` of the sorted 1-d array ``ordered``.
+
+    Between the neighbours a <= b at virtual index (n - 1) q with fraction g,
+    the value is a + (b - a) g, or b - (b - a)(1 - g) where g >= 0.5.
+    """
+    virtual = (ordered.size - 1) * q
+    lo = np.floor(virtual).astype(np.intp)
+    g = virtual - lo
+    a, b = ordered[lo], ordered[np.minimum(lo + 1, ordered.size - 1)]
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+
+
 def _seed_keys(seed: int, tags) -> list[int]:
     """The base seed plus one 32-bit key per tag; strings go through crc32."""
     keys = [int(seed) & 0xFFFFFFFF]

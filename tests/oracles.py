@@ -1,9 +1,10 @@
 """Reference implementations that the fast library paths are tested against.
 
 ``train`` and ``_loss_and_grads`` are the training step as it was before it
-ran on preallocated buffers: the straightforward allocating form, kept as a
-byte oracle, since the buffered step must produce the same floats in the same
-order.  ``buffered_loss_and_grads`` runs the buffered step's kernel on a fresh
+ran on preallocated buffers, and ``train`` builds its design matrix with one
+``np.hstack`` as before the matrix was written in place: the straightforward
+allocating form, kept as a byte oracle, since the buffered step must produce
+the same floats in the same order.  ``buffered_loss_and_grads`` runs the buffered step's kernel on a fresh
 workspace and returns copies, so finite-difference checks can call the
 library's own gradient on plain arrays.  ``pseudo_marginal_naive`` refits the
 estimator once per subject and ``nelson_aalen`` is the unweighted cumulative
@@ -30,6 +31,11 @@ one draw, kept as a byte oracle for datasets and their metadata.
 per subject: a lookup per horizon for the failed subjects only, each group
 filled in behind its own support check, kept as a byte oracle for scores and
 ``NumericError``.
+
+``partial_loglik`` is the Cox partial likelihood as it was before it summed
+the p x p risk-set aggregate and the Hessian by blocks of rows: the whole
+n x p x p array of r x x' and its reverse running sum, kept as a byte
+oracle for (log-likelihood, gradient, Hessian).
 """
 
 from __future__ import annotations
@@ -621,3 +627,27 @@ def brier(data: Dataset, predicted_survival, eval_times, censor_curve: StepSurvi
             contrib[alive] = (1.0 - s[alive]) ** 2 / g_t
         out[h] = contrib.mean()
     return out
+
+
+def partial_loglik(ev, X, first, d, beta):
+    """Breslow partial log-likelihood with gradient and Hessian.
+
+    Inputs must be sorted by time ascending; ``first`` indexes the first row
+    of each distinct event time and ``d`` counts its events.  Risk-set
+    aggregates are reverse cumulative sums evaluated at those rows.
+    """
+    theta = X @ beta
+    theta = theta - theta.max()  # rescale for a stable exp; cancels in every ratio
+    r = np.exp(theta)
+    s0 = np.cumsum(r[::-1])[::-1]
+    s1 = np.cumsum((r[:, None] * X)[::-1], axis=0)[::-1]
+    s2 = np.cumsum(np.einsum("i,ij,ik->ijk", r, X, X)[::-1], axis=0)[::-1]
+    s0u, s1u, s2u = s0[first], s1[first], s2[first]
+
+    ll = theta[ev].sum() - (d * np.log(s0u)).sum()
+    mean = s1u / s0u[:, None]
+    grad = X[ev].sum(axis=0) - (d[:, None] * mean).sum(axis=0)
+    hess = -(
+        d[:, None, None] * (s2u / s0u[:, None, None] - mean[:, :, None] * mean[:, None, :])
+    ).sum(axis=0)
+    return ll, grad, hess

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pseudosurv
+from pseudosurv.cli import main
 
 # the package's public names other than its submodules
 PUBLIC = {
@@ -42,34 +43,62 @@ def test_star_import_binds_public_names_and_submodules():
     assert PUBLIC | SUBMODULES <= bound <= PUBLIC | SUBMODULES | {"cli"}
 
 
-# a process's CLI arguments ({d}: a directory with data.csv and pred.csv; None: only
-# the package import) and the submodules it must not load
+# a process's CLI arguments ({d}: a directory with data.csv, pred.csv, sim.csv and m.json;
+# None: only the package import) and the submodules it must not load; no process may load
+# numpy.ma, which numpy 2.4's plain np.unique and np.quantile import (about 10 ms)
+TRAIN = ["--budget", "1", "--folds", "2", "--epochs", "1", "--threads", "1"]
 IMPORT_CASES = {
     "import": (None, SUBMODULES),
+    "transform": (["transform", "--input", "{d}/sim.csv", "--output", "{d}/t.csv"],
+                  {"net", "metrics", "cox", "baselines", "sim"}),
     "transform --ipcw": (["transform", "--input", "{d}/data.csv", "--output", "{d}/t.csv",
                           "--ipcw", "--grid-times", "2.5"], {"net", "metrics", "baselines", "sim"}),
+    "train": (["train", "--input", "{d}/sim.csv", "--model-out", "{d}/m1.json", *TRAIN],
+              {"cox", "baselines", "sim"}),
+    "train --ipcw": (["train", "--input", "{d}/sim.csv", "--model-out", "{d}/m2.json", "--ipcw",
+                      *TRAIN], {"baselines", "sim"}),
+    "predict": (["predict", "--model", "{d}/m.json", "--input", "{d}/sim.csv", "--output",
+                 "{d}/p.csv"], {"cox", "baselines", "sim"}),
+    "evaluate --model": (["evaluate", "--model", "{d}/m.json", "--input", "{d}/sim.csv",
+                          "--output", "{d}/e.csv"], {"cox", "baselines", "sim"}),
     "evaluate --predictions": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
                                 "--predictions", "{d}/pred.csv"],
                                {"net", "cox", "baselines", "sim"}),
+    "simulate": (["simulate", "--replicates", "1", "--n", "60", "--with-net", "--out",
+                  "{d}/study", *TRAIN], set()),
+    "split": (["split", "--input", "{d}/sim.csv", "--train-out", "{d}/a.csv", "--test-out",
+               "{d}/b.csv"], {"estimators", "pseudo", "net", "metrics", "cox", "baselines", "sim"}),
 }
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    (d / "data.csv").write_text("time,event,z_1\n1,1,0.5\n2,0,-1\n3,1,0.2\n4,1,1.1\n")
+    (d / "pred.csv").write_text("id,2.5\n" + "".join(f"{i},0.5\n" for i in range(4)))
+    pseudosurv.save_dataset(pseudosurv.gen_cox(pseudosurv.CoxSimSpec(n=60, seed=3)), d / "sim.csv")
+    assert main(["train", "--input", str(d / "sim.csv"), "--model-out", str(d / "m.json"),
+                 *TRAIN]) == 0
+    return d
+
+
 @pytest.mark.parametrize("case", sorted(IMPORT_CASES))
-def test_process_loads_only_what_it_runs(tmp_path, case):
+def test_process_loads_only_what_it_runs(cli_inputs, case):
     argv, absent = IMPORT_CASES[case]
-    (tmp_path / "data.csv").write_text("time,event,z_1\n1,1,0.5\n2,0,-1\n3,1,0.2\n4,1,1.1\n")
-    (tmp_path / "pred.csv").write_text("id,2.5\n" + "".join(f"{i},0.5\n" for i in range(4)))
     code = "import json, sys, pseudosurv"
     if argv is not None:
-        argv = [arg.format(d=tmp_path) for arg in argv]
+        argv = [arg.format(d=cli_inputs) for arg in argv]
         code += f"; from pseudosurv.cli import main; assert main({argv!r}) == 0"
-    code += "; print(json.dumps([m for m in sys.modules if m.startswith('pseudosurv.')]))"
+    code += "; print(json.dumps(list(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(pseudosurv.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    loaded = {name.removeprefix("pseudosurv.") for name in json.loads(out.stdout)}
+    modules = json.loads(out.stdout)
+    loaded = {name.removeprefix("pseudosurv.") for name in modules
+              if name.startswith("pseudosurv.")}
     assert "cli" in loaded if argv else loaded == set()
     assert not loaded & absent
+    assert "numpy.ma" not in modules
 
 
 def _value_objects():

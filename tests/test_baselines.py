@@ -101,6 +101,25 @@ class TestGee:
             fit_gee(data, grid, max_iter=1)
 
 
+    def test_no_acceptable_step_after_40_halvings(self, monkeypatch):
+        # no input found here reaches this refusal, so the fitted mean is patched: away
+        # from the starting coefficients every mean is 1 000 off, so no step, however
+        # often halved, lowers the residual sum of squares
+        from pseudosurv import NumericError, baselines
+
+        real, start = baselines._cloglog_mean, []
+
+        def worse_off_start(eta):
+            start.append(start[0] if start else eta.copy())
+            return real(eta) + (0.0 if np.array_equal(eta, start[0]) else 1e3)
+
+        monkeypatch.setattr(baselines, "_cloglog_mean", worse_off_start)
+        data = gen_cox(CoxSimSpec(n=200, beta=1.0, censoring_rate=0.3, seed=13))
+        with pytest.raises(NumericError, match="^gee did not converge$"):
+            fit_gee(data, make_grid(data, percentiles=[0.2, 0.4]))
+        assert len(start) == 2 + 40  # the start, one linearisation, 40 rejected steps
+
+
 def gee_survival(model, z, j):
     """The fitted link inverted at grid time j: exp(-exp(alpha_j + beta . z))."""
     eta = model.time_intercepts[j] + np.asarray(z, dtype=float) @ model.beta

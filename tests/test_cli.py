@@ -1,9 +1,13 @@
 import concurrent.futures
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,6 +568,69 @@ class TestReplay:
         assert (out_dir / "replicates.csv").read_bytes() == first
 
 
+# kernels of OpenBLAS's DYNAMIC_ARCH build to try beside the default one; OPENBLAS_CORETYPE
+# forces one for a single process
+OTHER_KERNELS = ["Haswell", "Sandybridge", "Nehalem", "Prescott"]
+# a weight may move this many ulps of the largest magnitude in its matrix or bias vector
+KERNEL_ULPS = 16
+
+
+def _run_under_kernel(code: str, kernel: str | None):
+    """``python -c code`` with OpenBLAS reporting its core (forced to ``kernel`` if given)."""
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2",
+           "PYTHONPATH": str(Path(ps.__file__).parents[1])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def _core(kernel: str | None):
+    """The core OpenBLAS runs under ``kernel``, or None where numpy's BLAS names none."""
+    out = _run_under_kernel("import numpy as np; assert (np.ones((8, 8)) @ np.ones(8) == 8).all()",
+                            kernel)
+    found = re.search(r"^Core: (\S+)", out.stdout + out.stderr, re.M)
+    return found.group(1) if out.returncode == 0 and found else None
+
+
+def test_replays_across_blas_kernels(tmp_path):
+    """Byte-identical replays hold on one BLAS kernel.  Under another, the model's weights
+    and logs may differ in their last bits, and every CSV must still match."""
+    default = _core(None)
+    if default is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that names its core")
+    other = next((k for k in OTHER_KERNELS if _core(k) not in (None, default)), None)
+    if other is None:
+        pytest.skip(f"no OpenBLAS kernel other than {default} runs here")
+    save_dataset(gen_friedman_aft(FriedmanSpec(n=300, censoring_rate=0.4, seed=5)),
+                 tmp_path / "d.csv")
+    for kernel in (None, other):
+        d = tmp_path / (kernel or "default")
+        d.mkdir()
+        runs = [["train", "--input", f"{tmp_path}/d.csv", "--model-out", f"{d}/m.json",
+                 "--budget", "2", "--folds", "2", "--epochs", "3", "--seed", "5", "--threads", "1"],
+                ["predict", "--model", f"{d}/m.json", "--input", f"{tmp_path}/d.csv",
+                 "--output", f"{d}/p.csv"],
+                ["evaluate", "--model", f"{d}/m.json", "--input", f"{tmp_path}/d.csv",
+                 "--output", f"{d}/e.csv"]]
+        code = "from pseudosurv.cli import main\n" + "".join(
+            f"assert main({argv!r}) == 0\n" for argv in runs)
+        out = _run_under_kernel(code, kernel)
+        assert out.returncode == 0, out.stderr
+    a, b = tmp_path / "default", tmp_path / other
+    for name in ("p.csv", "e.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    models = [json.loads((d / "m.json").read_text()) for d in (a, b)]
+    for key in ("weights", "biases"):
+        for x, y in zip(models[0][key], models[1][key]):
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            assert np.all(np.abs(x - y) <= KERNEL_ULPS * np.spacing(np.abs(x).max()))
+    for key in ("training_log", "weight_norm_log"):
+        assert np.allclose(models[0][key], models[1][key], rtol=1e-12, atol=0.0)
+    for key in set(models[0]) - {"weights", "biases", "training_log", "weight_norm_log"}:
+        assert models[0][key] == models[1][key]
+
+
 class TestErrors:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["transform", "--input", str(tmp_path / "nope.csv"),
@@ -842,8 +909,8 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-# arguments, with {d} for a directory that holds huge.csv (covariates of +-1e308), whose
-# run fails numerically, and the text the error must hold
+# arguments, with {d} for a directory that holds huge.csv and huge10.csv (6 and 10 subjects,
+# covariates of +-1e308), whose run fails numerically, and the text the error must hold
 NUMERIC_HOSTILE = {
     "gee diverges on 3 subjects": (["simulate", "--study", "cox-dependent", "--replicates", "1",
                                     "--n", "3", "--seed", "0", "--threads", "1",
@@ -853,6 +920,10 @@ NUMERIC_HOSTILE = {
                                           "--out", "{d}/study"], "gee diverged"),
     "cox overflows on covariates of 1e308": (["transform", "--input", "{d}/huge.csv", "--output",
                                               "{d}/o.csv", "--ipcw"], "cox did not converge"),
+    "covariate scaling overflows on 1e308": (["train", "--input", "{d}/huge10.csv", "--model-out",
+                                              "{d}/m.json", "--budget", "1", "--folds", "2",
+                                              "--epochs", "1", "--threads", "1"],
+                                             "covariates z overflow their mean or standard"),
 }
 
 
@@ -861,6 +932,8 @@ def test_hostile_invocation_exits_3(tmp_path, capsys, case):
     args, message = NUMERIC_HOSTILE[case]
     write_csv(tmp_path / "huge.csv", [["time", "event", "z"]]
               + [[str(t), str(t % 2), f"{(-1) ** t}e308"] for t in range(1, 7)])
+    write_csv(tmp_path / "huge10.csv", [["time", "event", "z"]]
+              + [[str(t), e, f"{(-1) ** (t + 1)}e308"] for t, e in enumerate("1011011011", 1)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([arg.format(d=tmp_path) for arg in args]) == 3

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosurv import (
     CoxSimSpec,
@@ -14,7 +18,7 @@ from pseudosurv import cox
 from pseudosurv.cox import _partial_loglik
 
 from conftest import random_censored_dataset
-from oracles import nelson_aalen
+from oracles import nelson_aalen, partial_loglik
 
 
 def _sorted_inputs(data, target="event"):
@@ -25,6 +29,71 @@ def _sorted_inputs(data, target="event"):
     ts, evs = data.time[order], ev[order]
     u, d = np.unique(ts[evs], return_counts=True)
     return evs, X[order], np.searchsorted(ts, u, side="left"), d
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def cox_samples(draw):
+    """A censored sample of up to 40 subjects with p in {0, 1, 2, 20} covariates and a beta."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0, 1, 2, 20]))
+    if draw(st.booleans()):  # tied times; with small blocks every tie group crosses an edge
+        times = np.asarray(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), float)
+    else:
+        times = np.asarray(draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+    events = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["plain", "single event", "censored tail"]))
+    if shape == "single event":
+        events[:] = False
+    elif shape == "censored tail":  # every subject after the median time is censored
+        events[times > np.median(times)] = False
+    events[draw(st.integers(0, n - 1))] = True
+    cells = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * p, max_size=n * p))
+    X = np.asarray(cells, dtype=float).reshape(n, p)
+    beta = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)), float)
+    return Dataset(times, events, X, tuple(f"z_{k + 1}" for k in range(p))), beta
+
+
+class TestAgainstOracle:
+    """The blocked partial likelihood against the whole-array form kept in ``oracles``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cox_samples(), st.sampled_from([1, 3, 7, None]))
+    def test_byte_identical(self, sample, cells):
+        data, beta = sample
+        args = _sorted_inputs(data)
+        want = partial_loglik(*args, beta)
+        with mock.patch.object(cox, "_BLOCK_CELLS", cells or cox._BLOCK_CELLS):
+            got = _partial_loglik(*args, beta)
+        assert all(same_bytes(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("p", [1, 2, 20])
+    @pytest.mark.parametrize("cells", [7, None])
+    def test_byte_identical_at_300_subjects(self, rng, p, cells):
+        # p = 1 has 100+ event times here, where a Hessian sum split into blocks or headed
+        # by a zero would change bits: numpy sums a (K, 1, 1) array pairwise
+        data = random_censored_dataset(rng, 300, p=p, tie_prob=0.5)
+        args = _sorted_inputs(data, target="censoring")
+        for beta in rng.normal(0.0, 0.5, size=(5, p)):
+            want = partial_loglik(*args, beta)
+            with mock.patch.object(cox, "_BLOCK_CELLS", cells or cox._BLOCK_CELLS):
+                got = _partial_loglik(*args, beta)
+            assert all(same_bytes(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("p", [1, 20])
+    def test_fitted_censoring_model_byte_identical(self, p):
+        rng = np.random.default_rng(p)
+        data = random_censored_dataset(rng, 600, p=p)
+        got = fit_cox(data, target="censoring")
+        with mock.patch.object(cox, "_partial_loglik", partial_loglik):
+            want = fit_cox(data, target="censoring")
+        assert same_bytes(got.beta, want.beta)
+        assert same_bytes(got.baseline_cumhaz.values, want.baseline_cumhaz.values)
+        assert got.loglik_path == want.loglik_path
 
 
 class TestFitCox:

@@ -221,6 +221,13 @@ class TestTraining:
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow is the point
             train(huge, small_config())
 
+    def test_overflowing_epoch_loss_reported_without_batch(self, rng):
+        # each batch loss (about 3.6e305) is finite, their row-weighted sum over two
+        # batches of 300 rows is not; adam keeps the steps, and so the outputs, finite
+        table = toy_table(rng, n=200, pseudo=6e152)
+        with pytest.raises(NumericError, match=r"^diverged at epoch 0$"):
+            train(table, small_config(batch_size=300, epochs=1))
+
     def test_divergence_in_search_names_config_and_fold(self, rng):
         table = toy_table(rng, n=20)
         huge = PseudoTable(table.subject_ids, table.covariates, table.time_index,

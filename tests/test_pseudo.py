@@ -22,6 +22,7 @@ from pseudosurv import (
 )
 from pseudosurv import estimators
 from pseudosurv.pseudo import _loo_pseudo
+from pseudosurv.util import distinct, quantile
 
 from conftest import random_censored_dataset, uncensored_dataset
 from oracles import constant_weights, pseudo_marginal_naive, pseudo_table_to_csv
@@ -70,6 +71,20 @@ class TestMakeGrid:
             make_grid(d, percentiles=[0.0, 0.5])
         with pytest.raises(DataError, match="quantile levels"):
             make_grid(d, percentiles=[np.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0, 2.5, 1e-300]), min_size=1,
+                    max_size=60),
+           st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.just(0.5),
+                    min_size=1, max_size=8, unique=True))
+    def test_quantile_and_distinct_match_numpy(self, values, levels):
+        x, q = np.asarray(values), np.sort(levels)
+        got, want = quantile(np.sort(x), q), np.quantile(x, q)
+        assert got.tobytes() == want.tobytes()
+        assert distinct(got).tobytes() == np.unique(want).tobytes()
+        assert distinct(x).tobytes() == np.unique(x).tobytes()
+        ids = np.asarray(values, dtype=int) % 7
+        assert distinct(ids).tobytes() == np.unique(ids).tobytes()
 
     @pytest.mark.parametrize("cuts", [[np.nan], [1.0, np.nan], [np.nan, 1.0]])
     def test_nan_cutpoint_rejected(self, cuts):

@@ -11,6 +11,7 @@ from pseudosurv import (
     CoxSimSpec,
     DataError,
     FriedmanSpec,
+    NumericError,
     calibrate_censoring,
     gen_cox,
     gen_friedman_aft,
@@ -42,6 +43,26 @@ class TestCalibrateCensoring:
     def test_bad_target(self, rng):
         with pytest.raises(DataError):
             calibrate_censoring(rng.exponential(1.0, 100), 1.2)
+
+
+    def test_bracket_passes_its_ceiling(self):
+        # a rate of 1e30 censors 63 % of times of 1e-30; the next doubling passes 1e15
+        with pytest.raises(NumericError, match="^cannot bracket the requested censoring rate$"):
+            calibrate_censoring(np.full(5, 1e-30), 0.9)
+
+    def test_bracket_runs_out_of_doublings(self):
+        # from 1 / median = 1e-50, 200 doublings stay under 1e15 while the 49 % of tiny
+        # times keep the censored fraction near 0.51
+        x = np.concatenate((np.full(49, 1e-300), np.full(51, 1e50)))
+        with pytest.raises(NumericError, match="^cannot bracket the requested censoring rate$"):
+            calibrate_censoring(x, 0.9)
+
+    def test_rate_that_misses_the_target_refused(self, monkeypatch):
+        # the censored fraction is continuous in the rate, so no sample found here misses
+        # the target; patched to a step, it jumps from 0 to 1 at rate 1 on times of 1
+        monkeypatch.setattr(sim.np, "expm1", lambda v: np.where(v < -1.0, -1.0, 0.0))
+        with pytest.raises(NumericError, match="^censoring calibration did not reach"):
+            calibrate_censoring(np.ones(4), 0.5)
 
 
 class TestGenCox:
@@ -130,6 +151,12 @@ class TestGenFriedmanAft:
     def test_times_strictly_positive(self):
         data = gen_friedman_aft(FriedmanSpec(n=500, censoring_rate=0.2, seed=3))
         assert np.all(data.time > 0)
+
+    def test_flat_mean_function_refused(self, monkeypatch):
+        # Gaussian bumps of normal draws never all agree, so the mean is patched flat
+        monkeypatch.setattr(sim, "_bump_mean", lambda terms, Z: np.zeros(Z.shape[0]))
+        with pytest.raises(NumericError, match="^degenerate mean function: zero variance$"):
+            gen_friedman_aft(FriedmanSpec(n=50, seed=1))
 
     def test_spec_validation(self):
         with pytest.raises(DataError):
