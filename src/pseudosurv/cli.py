@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +30,7 @@ from .data import (
     write_json,
 )
 from .errors import DataError, NumericError
-from .util import derived_seed, parallel_map
+from .util import derived_seed, one_blas_thread, parallel_map, usable_cpus
 
 _COMMON = {"seed": 0, "threads": 0}
 _PATHS = ("input", "output", "model", "model_out", "out", "train_out", "test_out")
@@ -112,7 +111,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if resolved["threads"] < 0:
         raise DataError("threads must be 0 (all cores) or more")
     if not resolved["threads"]:
-        resolved["threads"] = os.cpu_count() or 1
+        resolved["threads"] = usable_cpus()
     return resolved
 
 
@@ -388,7 +387,8 @@ def main(argv=None) -> int:
         for key in required:
             if not resolved.get(key):
                 raise DataError(f"missing required option --{key.replace('_', '-')}")
-        args.func(resolved)
+        with one_blas_thread():  # the workers, not BLAS, take the cores
+            args.func(resolved)
     except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .errors import DataError, NumericError
 from .estimators import WeightFunction
 from .metrics import EvalReport, c_index, evaluate_predictions
 from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
-from .util import derived_rng, derived_seed, freeze, parallel_map
+from .util import derived_rng, derived_seed, freeze, one_blas_thread, parallel_map
 
 HIDDEN_WIDTHS = (4, 8, 16, 32, 64, 128)
 ACTIVATIONS = ("relu", "tanh")
@@ -267,6 +267,7 @@ def _batch_loss_and_grads(ws: _Workspace, config: MlpConfig, m: int, rng) -> flo
     return loss
 
 
+@one_blas_thread()
 def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     """Train the regressor on a pseudo-value table by mini-batch gradient descent.
 
@@ -276,7 +277,8 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     of the clipped mean pseudo value so early epochs are not spent drifting
     toward the response level.  A covariate whose mean or standard deviation
     overflows, or a non-finite batch loss, raises :class:`NumericError`,
-    naming the covariates or the epoch and the batch.
+    naming the covariates or the epoch and the batch.  Training runs on one
+    BLAS thread, so the weights do not depend on the machine's core count.
     """
     if len(table) == 0:
         raise DataError("empty pseudo table")
@@ -415,21 +417,20 @@ def make_cv_folds(subjects: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [subjects[np.sort(part)] for part in np.array_split(perm, k)]
 
 
-def _score_config(ctx: dict, config_idx: int) -> float:
-    """Cross-validate one config: its mean held-out c-index over the folds."""
+def _score_unit(ctx: dict, unit: tuple[int, int]) -> float:
+    """The held-out c-index of config ``unit[0]`` trained without fold ``unit[1]``."""
+    config_idx, fold = unit
     config: MlpConfig = ctx["grid"][config_idx]
-    fold_scores = []
-    for fold, (train_subjects, held_data) in enumerate(ctx["folds"]):
-        unit_seed = derived_seed(ctx["seed"], config.content_key(), fold)
-        train_table = ctx["table"].subset_subjects(train_subjects)
-        try:
-            model = train(train_table, replace(config, seed=unit_seed))
-        except NumericError as exc:
-            raise NumericError(f"config {config.content_key()}, fold {fold}: {exc}") from exc
-        pred = predict_survival(model, held_data.covariates, ctx["times"])
-        values, _ = c_index(held_data, pred, ctx["times"])
-        fold_scores.append(float(np.nanmean(values)))
-    return float(np.mean(fold_scores))
+    train_subjects, held_data = ctx["folds"][fold]
+    unit_seed = derived_seed(ctx["seed"], config.content_key(), fold)
+    train_table = ctx["table"].subset_subjects(train_subjects)
+    try:
+        model = train(train_table, replace(config, seed=unit_seed))
+    except NumericError as exc:
+        raise NumericError(f"config {config.content_key()}, fold {fold}: {exc}") from exc
+    pred = predict_survival(model, held_data.covariates, ctx["times"])
+    values, _ = c_index(held_data, pred, ctx["times"])
+    return float(np.nanmean(values))
 
 
 def grid_search(
@@ -450,9 +451,9 @@ def grid_search(
     ``data``.  The best config (ties break toward the lower grid index) is
     retrained on the full table.  Each training unit derives its seed from
     the config's hyperparameter content and the fold, so scores do not depend
-    on grid order or on ``n_jobs`` (configs are scored in worker processes
-    when ``n_jobs`` exceeds one).  A fold whose subjects hold no comparable
-    pair at ``eval_times`` raises DataError.
+    on grid order or on ``n_jobs`` (the (config, fold) units run in worker
+    processes when ``n_jobs`` exceeds one).  A fold whose subjects hold no
+    comparable pair at ``eval_times`` raises DataError.
     """
     grid = list(grid)
     if budget > len(grid) or budget < 1:
@@ -479,7 +480,9 @@ def grid_search(
         "times": times,
         "seed": seed,
     }
-    scores = dict(zip(chosen, parallel_map(_score_config, ctx, chosen, n_jobs)))
+    units = [(config_idx, fold) for config_idx in chosen for fold in range(len(folds))]
+    fold_scores = np.reshape(parallel_map(_score_unit, ctx, units, n_jobs), (budget, len(folds)))
+    scores = {config_idx: float(np.mean(row)) for config_idx, row in zip(chosen, fold_scores)}
 
     # max keeps the first of equal scores, and chosen is in grid order
     best = grid[max(chosen, key=scores.__getitem__)]

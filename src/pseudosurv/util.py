@@ -1,7 +1,11 @@
-"""Small shared helpers: frozen value types, reproducible RNG derivation and the worker pool."""
+"""Small shared helpers: frozen value types, reproducible RNG derivation, the worker pool and
+its BLAS thread pin."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 import zlib
 
 import numpy as np
@@ -69,6 +73,52 @@ def derived_seed(seed: int, *tags) -> int:
     return int(np.random.SeedSequence(_seed_keys(seed, tags)).generate_state(1)[0])
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None where it has none."""
+    import ctypes
+    import glob
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its thread count.
+
+    A process that trains networks beside other such processes keeps one core
+    busy, not all of them, and a matmul whose inner dimension OpenBLAS would
+    split across threads sums in one order whatever the machine's core count.
+    Where numpy's BLAS is not its bundled OpenBLAS, this does nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # (fn, shared) of a pool worker process, set once by its initializer
 _WORKER: tuple | None = None
 
@@ -76,6 +126,9 @@ _WORKER: tuple | None = None
 def _init_worker(fn, shared) -> None:
     global _WORKER
     _WORKER = (fn, shared)
+    calls = _openblas_threads()
+    if calls is not None:  # one BLAS thread for the worker's whole life
+        calls[1](1)
 
 
 def _call_worker(item):

@@ -12,7 +12,7 @@ import pytest
 
 import pseudosurv as ps
 from pseudosurv.cli import main as cli_main
-from pseudosurv.util import derived_seed
+from pseudosurv.util import derived_seed, usable_cpus
 
 from oracles import buffered_loss_and_grads, pseudo_marginal_naive
 
@@ -44,8 +44,10 @@ def _search_grid(epochs=100):
 def _fit_and_score(train_data, test_data, levels, seed, budget_grid, k=5):
     """Grid-search the regressor on one replicate and score it beside Cox."""
     grid = ps.make_grid(train_data, percentiles=levels)
+    # results do not depend on n_jobs (criterion 9), so the searches take every usable CPU
     _, report_net = ps.fit_and_evaluate(
-        train_data, test_data, grid, budget_grid, k=k, budget=len(budget_grid), seed=seed
+        train_data, test_data, grid, budget_grid, k=k, budget=len(budget_grid), seed=seed,
+        n_jobs=usable_cpus(),
     )
     return report_net, _cox_report(train_data, test_data, grid)
 
@@ -94,7 +96,7 @@ def dependent_censoring_study():
         for label, weights in (("plain", None), ("ipcw", ipcw)):
             _, reports[label] = ps.fit_and_evaluate(
                 train_data, test_data, grid, grid_cfgs, weights=weights,
-                k=3, budget=len(grid_cfgs), seed=300 + rep,
+                k=3, budget=len(grid_cfgs), seed=300 + rep, n_jobs=usable_cpus(),
             )
         out.append(reports)
     return out

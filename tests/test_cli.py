@@ -485,7 +485,7 @@ class TestSimulate:
             outputs.append(
                 (out_dir / "replicates.csv").read_bytes() + (out_dir / "summary.csv").read_bytes()
             )
-        # only the --threads 2 run's search opened a pool, with one worker per config
+        # only the --threads 2 run's search opened a pool, of min(threads, units) workers
         assert pools == [2]
         assert outputs[0] == outputs[1]
 
@@ -629,6 +629,45 @@ def test_replays_across_blas_kernels(tmp_path):
         assert np.allclose(models[0][key], models[1][key], rtol=1e-12, atol=0.0)
     for key in set(models[0]) - {"weights", "biases", "training_log", "weight_norm_log"}:
         assert models[0][key] == models[1][key]
+
+
+# --seed 40 --budget 1 samples one (128, 128) network: at batch 1024 its gradient matmuls have
+# an inner dimension that a multi-threaded OpenBLAS splits across its threads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("batch", ["256", "1024"])
+def test_model_bytes_independent_of_thread_counts(tmp_path, batch):
+    """``train`` writes the same model at --threads 1 and 2, with BLAS at its default thread
+    count and with OPENBLAS_NUM_THREADS=1."""
+    save_dataset(gen_friedman_aft(FriedmanSpec(n=1000, censoring_rate=0.4, seed=5)),
+                 tmp_path / "d.csv")
+    models = set()
+    for threads in ("1", "2"):
+        for blas in (None, "1"):
+            env = {**os.environ, "PYTHONPATH": str(Path(ps.__file__).parents[1])}
+            for name in BLAS_THREAD_VARIABLES:
+                env.pop(name, None)
+            if blas:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            out = tmp_path / f"m_{threads}_{blas}.json"
+            subprocess.run([sys.executable, "-m", "pseudosurv.cli", "train", "--input",
+                            str(tmp_path / "d.csv"), "--model-out", str(out), "--budget", "1",
+                            "--folds", "2", "--epochs", "3", "--batch-size", batch, "--seed", "40",
+                            "--threads", threads], env=env, check=True)
+            models.add(out.read_bytes())
+    assert len(models) == 1
+
+
+def test_threads_0_counts_the_cpus_this_process_may_use(monkeypatch):
+    from pseudosurv import cli
+    args = cli._build_parser().parse_args(["split", "--input", "d.csv", "--train-out", "a.csv",
+                                           "--test-out", "b.csv"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert cli._resolve("split", args)["threads"] == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve("split", args)["threads"] == 64
 
 
 class TestErrors:

@@ -25,8 +25,9 @@ from pseudosurv import (
     save_model,
     train,
 )
-from pseudosurv import net
+from pseudosurv import net, util
 from pseudosurv.net import MlpModel, default_grid, make_cv_folds
+from pseudosurv.util import derived_seed
 
 import oracles
 from oracles import buffered_loss_and_grads
@@ -356,17 +357,44 @@ class TestGridSearch:
             table = pseudo_conditional(data, grid_times)
         cfg = small_config(epochs=10)
         other = small_config(epochs=10, activation="tanh")
-        scores = {}
-        score_config = net._score_config
+        unit_scores = {}
+        score_unit = net._score_unit
 
-        def recording(ctx, config_idx):  # at n_jobs=1 configs are scored in this process
-            scores[config_idx] = score_config(ctx, config_idx)
-            return scores[config_idx]
+        def recording(ctx, unit):  # at n_jobs=1 the (config, fold) units run in this process
+            unit_scores[unit] = score_unit(ctx, unit)
+            return unit_scores[unit]
 
-        monkeypatch.setattr(net, "_score_config", recording)
+        monkeypatch.setattr(net, "_score_unit", recording)
         grid_search(table, data, [cfg, other, cfg], k=3, eval_times=grid_times, budget=3, seed=0)
-        assert sorted(scores) == [0, 1, 2]
-        assert scores[0] == scores[2]
+        assert list(unit_scores) == [(config, fold) for config in range(3) for fold in range(3)]
+        assert [unit_scores[0, fold] for fold in range(3)] == [unit_scores[2, fold]
+                                                                for fold in range(3)]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_numeric_error_names_the_first_failing_unit(self, monkeypatch, n_jobs):
+        data = gen_cox(CoxSimSpec(n=120, censoring_rate=0.3, seed=6))
+        grid_times = make_grid(data, percentiles=[0.3, 0.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = pseudo_conditional(data, grid_times)
+        configs = [small_config(epochs=2, activation=act, optimizer=opt)
+                   for act, opt in (("relu", "adam"), ("tanh", "adam"), ("relu", "sgd_momentum"))]
+        # units (1, 1) and (2, 0) fail; (1, 1) comes first in config-major order
+        failing = {derived_seed(0, configs[1].content_key(), 1),
+                   derived_seed(0, configs[2].content_key(), 0)}
+        real_train = net.train
+
+        def train_or_fail(table, config):  # forked pool workers inherit this patch
+            if config.seed in failing:
+                raise NumericError("diverged at epoch 0, batch 0")
+            return real_train(table, config)
+
+        monkeypatch.setattr(net, "train", train_or_fail)
+        with pytest.raises(NumericError) as caught:
+            grid_search(table, data, configs, k=3, eval_times=grid_times, budget=3, seed=0,
+                        n_jobs=n_jobs)
+        assert str(caught.value) == (f"config {configs[1].content_key()}, fold 1: "
+                                     "diverged at epoch 0, batch 0")
 
     def test_fold_partition(self):
         subjects = np.arange(103)
@@ -427,3 +455,58 @@ class TestPersistence:
         path.write_text(payload)
         with pytest.raises(DataError, match="format version"):
             load_model(path)
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def blas_threads(self):
+        """numpy's OpenBLAS (get, set), at two threads for the test and restored after it."""
+        calls = util._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        get, set_ = calls
+        old = get()
+        set_(2)
+        yield get
+        set_(old)
+
+    def test_pins_one_thread_and_restores(self, blas_threads):
+        with util.one_blas_thread():
+            assert blas_threads() == 1
+            with util.one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+        with pytest.raises(RuntimeError), util.one_blas_thread():
+            raise RuntimeError
+        assert blas_threads() == 2
+
+    def test_train_runs_pinned(self, blas_threads, rng, monkeypatch):
+        seen = set()
+        step = net._batch_loss_and_grads
+
+        def recording(*args):
+            seen.add(blas_threads())
+            return step(*args)
+
+        monkeypatch.setattr(net, "_batch_loss_and_grads", recording)
+        train(toy_table(rng), small_config(epochs=2))
+        assert seen == {1}
+        assert blas_threads() == 2
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        import ctypes
+
+        def missing(name, *args, **kwargs):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        util._openblas_threads.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        monkeypatch.setattr(util, "_WORKER", None)
+        try:
+            assert util._openblas_threads() is None
+            with util.one_blas_thread():
+                pass
+            util._init_worker(len, None)
+        finally:
+            util._openblas_threads.cache_clear()
