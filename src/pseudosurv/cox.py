@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, NumericError
-from .estimators import _BLOCK_CELLS, StepSurvivalCurve, WeightFunction
+from .estimators import StepSurvivalCurve, WeightFunction
+from .util import _BLOCK_CELLS
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .util import distinct, freeze
+from .util import _BLOCK_CELLS, distinct, freeze
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,10 @@ def censoring_kaplan_meier(data: Dataset) -> StepSurvivalCurve:
     return kaplan_meier(flipped)
 
 
-# cells per block of IPCW weights: 2**17 float64 cells is 1 MiB, inside a per-core L2 cache
-_BLOCK_CELLS = 2**17
 # a sample of at most this many blocks' cells (8 MiB) is one block, so the
 # leave-one-out pass reuses its weights: every sample of up to 1 024 subjects
 _REUSE_BLOCKS = 8
-# a one-column weight sum runs pairwise along the subjects, in groups of this many
+# subjects per block of a one-column sample
 _SUM_GROUP = 1024
 _TINY = np.finfo(float).tiny
 
@@ -218,15 +216,18 @@ def _at_risk_weights(times, u, weights: WeightFunction, rows, offset: float):
     (weight row ``rows[sl.start + i]``) if its time is >= u[k], else 0.  Every block
     is written into the one buffer ``buf`` as ``buf[1:len(w) + 1]``; the
     head row ``buf[0]`` is left free for a running column total.  A block
-    holds about ``_BLOCK_CELLS`` cells; a sample of at most ``_REUSE_BLOCKS``
-    blocks' cells, one column or none is a single block.  Only the rows of
-    subjects that leave the risk set before ``u[-1]`` have a suffix to zero;
-    every other row is all at risk.
+    holds about ``_BLOCK_CELLS`` cells, and a sample of at most
+    ``_REUSE_BLOCKS`` blocks' cells is a single block; one column comes in
+    blocks of ``_SUM_GROUP`` subjects instead.  Only the rows of subjects
+    that leave the risk set before ``u[-1]`` have a suffix to zero; every
+    other row is all at risk.
     """
     m, K = times.size, u.size
     sample = weights.subset(rows)  # validates the sample's relative risks once
     lam = sample._cumhaz_left(u + offset)
-    step = m if K <= 1 or m * K <= _REUSE_BLOCKS * _BLOCK_CELLS else max(1, _BLOCK_CELLS // K)
+    # numpy sums one column pairwise, so its block length sets the bits of the column sum
+    step = (_SUM_GROUP if K == 1 else m if m * K <= _REUSE_BLOCKS * _BLOCK_CELLS
+            else max(1, _BLOCK_CELLS // K))
     buf = np.empty((min(step, m) + 1, K))
     reach = np.searchsorted(u, times, side="right")  # event times at or before each time
     for lo in range(0, m, step):
@@ -248,11 +249,11 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
     a per-core L2 cache; a sample of at most 8 MiB of weights is one block),
     so memory is O(n + len(u)) beyond those 8 MiB, and each weight costs
     about four passes: product, exp, reciprocal and the column sum.  B adds
-    the subjects one by one in sample order whatever the block size; with
-    one column (K == 1) numpy sums pairwise, so B is summed over fixed groups
-    of ``_SUM_GROUP`` subjects.  Returns (A, B, w) where ``w`` is the sample's
-    at-risk weight block (see :func:`_at_risk_weights`) when the sample is
-    one block, else None.
+    the subjects one by one in sample order whatever the block size; one
+    column (K == 1) numpy sums pairwise, over each block of ``_SUM_GROUP``
+    subjects behind the running total.  Returns (A, B, w) where ``w`` is the
+    sample's at-risk weight block (see :func:`_at_risk_weights`) when the
+    sample is one block, else None.
     """
     K = u.size
     col = np.searchsorted(u, times, side="left")
@@ -262,13 +263,9 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
     for sl, buf, w in _at_risk_weights(times, u, weights, rows, offset):
         ev = np.flatnonzero(hit[sl])
         event_w.append(w[ev, col[sl][ev]])
-        if K == 1:  # numpy sums a single column pairwise, so the grouping sets its bits
-            for lo in range(0, len(w), _SUM_GROUP):
-                B = np.concatenate((B[None], w[lo : lo + _SUM_GROUP])).sum(axis=0)
-        else:
-            # the running total heads the block so the column sum keeps sample order
-            buf[0] = B
-            B = buf[: len(w) + 1].sum(axis=0)
+        # the running total heads the block so the column sum keeps sample order
+        buf[0] = B
+        B = buf[: len(w) + 1].sum(axis=0)
     A = np.bincount(col[hit], weights=np.concatenate(event_w), minlength=K)
     return A, B, (w if len(w) == times.size else None)
 

@@ -29,11 +29,14 @@ from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
 from .util import derived_rng, derived_seed, freeze, one_blas_thread, parallel_map
 
 HIDDEN_WIDTHS = (4, 8, 16, 32, 64, 128)
-ACTIVATIONS = ("relu", "tanh")
-DROPOUT_RATES = (0.2, 0.4)
-RIDGE_PENALTIES = (1e-4, 1e-3, 1e-2)
-LEARNING_RATES = (0.001, 0.005, 0.01)
-OPTIMIZERS = ("adam", "sgd_momentum")
+# the admissible values of the other grid fields, in search-grid and MlpConfig field order
+GRID_VALUES = {
+    "activation": ("relu", "tanh"),
+    "regularization": (("dropout", 0.2), ("dropout", 0.4),
+                       ("ridge", 1e-4), ("ridge", 1e-3), ("ridge", 1e-2)),
+    "learning_rate": (0.001, 0.005, 0.01),
+    "optimizer": ("adam", "sgd_momentum"),
+}
 
 
 @dataclass(frozen=True)
@@ -54,26 +57,15 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        layers = tuple(int(w) for w in self.hidden_layers)
+        layers = tuple(map(int, self.hidden_layers))
         if len(layers) not in (1, 2):
             raise DataError("hidden_layers must have one or two layers")
         if any(w not in HIDDEN_WIDTHS for w in layers):
             raise DataError(f"hidden widths must be among {HIDDEN_WIDTHS}")
-        if self.activation not in ACTIVATIONS:
-            raise DataError(f"activation must be one of {ACTIVATIONS}")
-        kind, value = self.regularization
-        if kind == "dropout":
-            if value not in DROPOUT_RATES:
-                raise DataError(f"dropout rate must be one of {DROPOUT_RATES}")
-        elif kind == "ridge":
-            if value not in RIDGE_PENALTIES:
-                raise DataError(f"ridge penalty must be one of {RIDGE_PENALTIES}")
-        else:
-            raise DataError("regularization must be ('dropout', rate) or ('ridge', penalty)")
-        if self.learning_rate not in LEARNING_RATES:
-            raise DataError(f"learning_rate must be one of {LEARNING_RATES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise DataError(f"optimizer must be one of {OPTIMIZERS}")
+        kind, value = self.regularization  # a model file gives a list
+        for name, allowed in GRID_VALUES.items():
+            if ((kind, value) if name == "regularization" else getattr(self, name)) not in allowed:
+                raise DataError(f"{name} must be one of {allowed}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise DataError("epochs and batch_size must be positive")
         freeze(self, hidden_layers=layers, regularization=(kind, float(value)))
@@ -109,23 +101,8 @@ def default_grid(epochs: int = 100, batch_size: int = 256) -> list[MlpConfig]:
 def _default_grid(epochs, batch_size) -> tuple[MlpConfig, ...]:
     layouts = [(w,) for w in HIDDEN_WIDTHS]
     layouts += [(w1, w2) for w1 in HIDDEN_WIDTHS for w2 in HIDDEN_WIDTHS]
-    regs = [("dropout", r) for r in DROPOUT_RATES] + [("ridge", r) for r in RIDGE_PENALTIES]
-    grid = []
-    for layers, act, reg, lr, opt in itertools.product(
-        layouts, ACTIVATIONS, regs, LEARNING_RATES, OPTIMIZERS
-    ):
-        grid.append(
-            MlpConfig(
-                hidden_layers=layers,
-                activation=act,
-                regularization=reg,
-                learning_rate=lr,
-                optimizer=opt,
-                epochs=epochs,
-                batch_size=batch_size,
-            )
-        )
-    return tuple(grid)
+    return tuple(MlpConfig(*values, epochs=epochs, batch_size=batch_size)
+                 for values in itertools.product(layouts, *GRID_VALUES.values()))
 
 
 @dataclass

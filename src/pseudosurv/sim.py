@@ -16,13 +16,13 @@ import numpy as np
 
 from .data import Dataset, save_dataset, write_json
 from .errors import DataError, NumericError
-from .util import derived_rng
+from .util import _BLOCK_CELLS, derived_rng
 
 _CALIBRATION_DRAWS = 200_000
 # the nonlinear AFT design: covariates, Gaussian bumps, and Var(mu) / Var(eps)
 _AFT_P, _AFT_TERMS, _AFT_SNR = 20, 10, 3.0
-# calibration covariate rows drawn at once: about 2**17 float64 draws, 1 MiB
-_CALIBRATION_BLOCK = 2**17 // _AFT_P
+# calibration covariate rows drawn at once: about one block of float64 draws
+_CALIBRATION_BLOCK = _BLOCK_CELLS // _AFT_P
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ import zlib
 
 import numpy as np
 
+# cells per block of a blocked pass: 2**17 float64 cells is 1 MiB, inside a per-core L2 cache
+_BLOCK_CELLS = 2**17
+
 
 def freeze(obj, **fields) -> None:
     """Set ``fields`` on the frozen dataclass ``obj``, making each ndarray among them read-only."""

@@ -659,6 +659,37 @@ def test_model_bytes_independent_of_thread_counts(tmp_path, batch):
     assert len(models) == 1
 
 
+def test_pool_results_do_not_depend_on_the_start_method(tmp_path):
+    """``train --ipcw`` and a two-replicate ``simulate --with-net`` at --threads 2 write the
+    same model and replicates.csv bytes under every start method the platform offers."""
+    import multiprocessing
+
+    save_dataset(gen_cox(CoxSimSpec(n=150, dependent_censoring=True, seed=9)), tmp_path / "d.csv")
+    env = {**os.environ, "PYTHONPATH": str(Path(ps.__file__).parents[1])}
+    procs = {}
+    for method in multiprocessing.get_all_start_methods():
+        d = tmp_path / method
+        d.mkdir()
+        runs = [["train", "--input", f"{tmp_path}/d.csv", "--model-out", f"{d}/m.json", "--ipcw",
+                 "--budget", "2", "--folds", "2", "--epochs", "2", "--seed", "3",
+                 "--threads", "2"],
+                ["simulate", "--study", "cox-dependent", "--replicates", "2", "--n", "150",
+                 "--with-net", "--budget", "1", "--folds", "2", "--epochs", "2", "--seed", "3",
+                 "--out", f"{d}/study", "--threads", "2"]]
+        code = (f"import multiprocessing\nmultiprocessing.set_start_method({method!r}, force=True)\n"
+                "from pseudosurv.cli import main\n"
+                + "".join(f"assert main({argv!r}) == 0\n" for argv in runs))
+        procs[method] = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE,
+                                         text=True, env=env)
+    results = {}
+    for method, proc in procs.items():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, f"{method}: {err}"
+        d = tmp_path / method
+        results[method] = ((d / "m.json").read_bytes(), (d / "study/replicates.csv").read_bytes())
+    assert len(set(results.values())) == 1, sorted(results)
+
+
 def test_threads_0_counts_the_cpus_this_process_may_use(monkeypatch):
     from pseudosurv import cli
     args = cli._build_parser().parse_args(["split", "--input", "d.csv", "--train-out", "a.csv",

@@ -106,6 +106,10 @@ class TestAgainstOracleKernel:
             assert same_bytes(table.pseudo, expected.pseudo)
             assert same_bytes(table.subject_ids, expected.subject_ids)
 
+    def test_one_column_blocks_are_the_oracle_chunks(self):
+        # numpy sums one column pairwise, so the block length sets the at-risk sum's bits
+        assert estimators._SUM_GROUP == oracles._CHUNK
+
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 3000])
     def test_one_event_time_over_many_subjects(self, n):
         # a one-column at-risk sum is pairwise along the subjects, in 1 024-subject groups

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -64,21 +65,25 @@ class TestMlpConfig:
         with pytest.raises(DataError):
             MlpConfig(hidden_layers=(8, 8, 8))
         with pytest.raises(DataError):
-            small_config(activation="selu")
-        with pytest.raises(DataError):
-            small_config(regularization=("dropout", 0.5))
-        with pytest.raises(DataError):
-            small_config(learning_rate=0.1)
-        with pytest.raises(DataError):
-            small_config(optimizer="rmsprop")
-        with pytest.raises(DataError):
             small_config(epochs=0)
+        outside = [("activation", "selu"), ("regularization", ("dropout", 0.5)),
+                   ("regularization", ("ridge", 0.2)), ("regularization", ("lasso", 1e-3)),
+                   ("learning_rate", 0.1), ("optimizer", "rmsprop")]
+        assert {name for name, _ in outside} == set(net.GRID_VALUES)
+        for name, value in outside:
+            with pytest.raises(DataError, match=f"^{name} must be one of"):
+                small_config(**{name: value})
 
     def test_default_grid_size(self):
         grid = default_grid()
         # 42 layouts x 2 activations x 5 regularizations x 3 rates x 2 optimizers
         assert len(grid) == 42 * 2 * 5 * 3 * 2
         assert len({c.content_key() for c in grid}) == len(grid)
+
+    def test_default_grid_order(self):
+        # a search samples grid indices, so the order of the grid is part of its results
+        keys = "|".join(c.content_key() for c in default_grid()).encode()
+        assert hashlib.sha256(keys).hexdigest().startswith("d76a1204e3fac155")
 
 
 class TestTraining:
