@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,8 +33,6 @@ from .data import (
 from .errors import DataError, NumericError
 from .util import derived_seed, one_blas_thread, parallel_map, usable_cpus
 
-_COMMON = {"seed": 0, "threads": 0}
-_PATHS = ("input", "output", "model", "model_out", "out", "train_out", "test_out")
 _PSEUDO = {
     "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
     "grid_times": None,
@@ -42,7 +41,7 @@ _PSEUDO = {
     "weight_cap": 20.0,
     "drop_incomplete": False,
 }
-_SEARCH = {"budget": 20, "folds": 5, "epochs": 100, "batch_size": 256}
+_SEARCH = {"budget": 20, "folds": 5, "epochs": 100, "batch_size": 256, "seed": 0, "threads": 0}
 # text options that a config file may also give as a JSON list, with the item type
 _LISTS = {"grid_percentiles": (int, float), "grid_times": (int, float), "times": (int, float),
           "censor_covariates": str}
@@ -74,7 +73,7 @@ def _accepts(key: str, default, value) -> bool:
 
 
 def _read_config(path, command: str, defaults: dict) -> dict:
-    """The options a config file sets, each checked against its default."""
+    """The options a config file sets, each checked against its default and of its type."""
     stored = read_json(path)
     if not isinstance(stored, dict):
         raise DataError(f"{path}: a config file must be a JSON object")
@@ -82,20 +81,26 @@ def _read_config(path, command: str, defaults: dict) -> dict:
         raise DataError(
             f"{path}: config file is for command {stored['command']!r}, not {command!r}"
         )
-    options = {k: v for k, v in stored.items() if k not in ("command", "version")}
-    for key, value in options.items():
+    # configs written before each command stored only its own options also hold the other
+    # commands' paths as null, and a seed that the commands without one never read
+    paths = {key for _, _, required, _ in _COMMANDS.values() for key in required}
+    options = {}
+    for key, value in stored.items():
         if key not in defaults:
+            if key in ("command", "version", "seed") or key in paths and value is None:
+                continue
             raise DataError(f"{path}: unknown key {key!r}")
         if not _accepts(key, defaults[key], value):
             raise DataError(f"{path}: {key} cannot be {json.dumps(value)} "
                             f"(default {json.dumps(defaults[key])})")
+        options[key] = float(value) if isinstance(defaults[key], float) else value
     return options
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
-    *_, options = _COMMANDS[command]
-    resolved = {**dict.fromkeys(_PATHS), **options, **_COMMON}
+    *_, required, options = _COMMANDS[command]
+    resolved = {**dict.fromkeys(required), **options}
     if args.config == "":
         raise DataError("--config is empty")
     if args.config:
@@ -108,10 +113,13 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     for key in ("model", "predictions"):
         if resolved.get(key) == "":
             raise DataError(f"--{key} is empty")
-    if resolved["threads"] < 0:
+    if resolved.get("threads", 0) < 0:
         raise DataError("threads must be 0 (all cores) or more")
-    if not resolved["threads"]:
+    if resolved.get("threads") == 0:
         resolved["threads"] = usable_cpus()
+    for key in required:
+        if not resolved[key]:
+            raise DataError(f"missing required option --{key.replace('_', '-')}")
     return resolved
 
 
@@ -142,7 +150,7 @@ def _pseudo_table(resolved: dict):
     if resolved["ipcw"]:
         from .cox import censoring_weights, fit_cox
         model = fit_cox(data, target="censoring", covariates=_censor_names(resolved))
-        weights = censoring_weights(data, model, cap=float(resolved["weight_cap"]))
+        weights = censoring_weights(data, model, cap=resolved["weight_cap"])
         summary = {
             "covariates": list(model.covariate_names),
             "beta": model.beta.tolist(),
@@ -161,7 +169,7 @@ def cmd_transform(resolved: dict) -> None:
         "grid": grid.cutpoints.tolist(),
         "grid_quantile_basis": "all observed times",
         "censoring_rate": float(1.0 - data.event.mean()),
-        "ipcw": bool(resolved["ipcw"]),
+        "ipcw": resolved["ipcw"],
         "censoring_model": weight_summary,
     }
     write_json(out.with_suffix(out.suffix + ".meta.json"), meta, indent=2)
@@ -171,17 +179,10 @@ def cmd_transform(resolved: dict) -> None:
 def cmd_train(resolved: dict) -> None:
     from .net import default_grid, grid_search, save_model
     data, grid, table, _ = _pseudo_table(resolved)
-    configs = default_grid(epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]))
-    _, model = grid_search(
-        table,
-        data,
-        configs,
-        k=int(resolved["folds"]),
-        eval_times=grid,
-        budget=int(resolved["budget"]),
-        seed=int(resolved["seed"]),
-        n_jobs=int(resolved["threads"]),
-    )
+    configs = default_grid(epochs=resolved["epochs"], batch_size=resolved["batch_size"])
+    _, model = grid_search(table, data, configs, k=resolved["folds"], eval_times=grid,
+                           budget=resolved["budget"], seed=resolved["seed"],
+                           n_jobs=resolved["threads"])
     out = Path(resolved["model_out"])
     save_model(model, out)
     _write_config(resolved, "train", out)
@@ -235,9 +236,7 @@ def cmd_evaluate(resolved: dict) -> None:
 
 def cmd_split(resolved: dict) -> None:
     data = load_dataset(resolved["input"], drop_incomplete=False)
-    train_part, test_part = split_dataset(
-        data, fraction=float(resolved["fraction"]), seed=int(resolved["seed"])
-    )
+    train_part, test_part = split_dataset(data, resolved["fraction"], seed=resolved["seed"])
     save_dataset(train_part, resolved["train_out"])
     save_dataset(test_part, resolved["test_out"])
     _write_config(resolved, "split", Path(resolved["train_out"]))
@@ -263,8 +262,7 @@ def _replicate(resolved: dict, rep: int) -> dict:
     from .pseudo import make_grid
     from .sim import (CoxSimSpec, FriedmanSpec, gen_cox, gen_friedman_aft,
                       write_dataset_with_metadata)
-    seed, study = int(resolved["seed"]), resolved["study"]
-    n, rate = int(resolved["n"]), float(resolved["censoring_rate"])
+    seed, study, n, rate = (resolved[key] for key in ("seed", "study", "n", "censoring_rate"))
     if study == "aft":
         spec = FriedmanSpec(n=n, censoring_rate=rate, seed=derived_seed(seed, "aft", rep))
         data, info = gen_friedman_aft(spec, return_info=True)
@@ -289,12 +287,12 @@ def _replicate(resolved: dict, rep: int) -> dict:
         test_data = gen_cox(replace(spec, seed=derived_seed(seed, "cox-test", rep)))
         ipcw = censoring_weights(train_data, fit_cox(train_data, target="censoring"))
         runs = [("net", None, "net"), ("net_ipcw", ipcw, "net_ipcw")]
-    configs = default_grid(epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]))
+    configs = default_grid(epochs=resolved["epochs"], batch_size=resolved["batch_size"])
     for label, weights, seed_label in runs:
         _, report = fit_and_evaluate(
-            train_data, test_data, grid, configs, weights=weights, k=int(resolved["folds"]),
-            budget=int(resolved["budget"]), seed=derived_seed(seed, seed_label, rep),
-            n_jobs=int(resolved["threads"]),
+            train_data, test_data, grid, configs, weights=weights, k=resolved["folds"],
+            budget=resolved["budget"], seed=derived_seed(seed, seed_label, rep),
+            n_jobs=resolved["threads"],
         )
         row.update(_scores(label, report))
     cox_pred = cox_predict_survival(fit_cox(train_data), test_data.covariates, grid.cutpoints)
@@ -306,20 +304,20 @@ def cmd_simulate(resolved: dict) -> None:
     study = resolved["study"]
     if study not in ("aft", "cox-dependent", "cox-independent"):
         raise DataError("study must be aft, cox-dependent, or cox-independent")
-    if int(resolved["replicates"]) < 1:
+    if resolved["replicates"] < 1:
         raise DataError("replicates must be at least 1")
-    if study == "cox-independent" and float(resolved["censoring_rate"]) == 0:
+    if study == "cox-independent" and resolved["censoring_rate"] == 0:
         raise DataError("--censoring-rate must be above 0: "
                         "the cox-independent study models censoring")
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    reps = range(int(resolved["replicates"]))
+    reps = range(resolved["replicates"])
     # what a replicate runs, loaded before a pool forks so that its workers inherit it
     from . import baselines, net, sim  # noqa: F401
     # several replicates take the workers and search serially, a lone one's search takes
     # them; rows derive their own randomness, so they match at any thread count
     shared = dict(resolved, threads=1) if len(reps) > 1 else resolved
-    rows = parallel_map(_replicate, shared, reps, int(resolved["threads"]))
+    rows = parallel_map(_replicate, shared, reps, resolved["threads"])
 
     columns = list(rows[0].keys())
     values = {c: np.array([row[c] for row in rows]) for c in columns}
@@ -334,7 +332,8 @@ def cmd_simulate(resolved: dict) -> None:
 
 
 # command: (help, handler, required path options, options with their defaults);
-# every command also takes --config and the _COMMON options
+# every command also takes --config.  This table is each command's whole interface: its
+# flags, the keys of its config.json (all but threads) and, by each default, their types.
 _COMMANDS = {
     "transform": ("build the pseudo-value table CSV", cmd_transform, ("input", "output"), _PSEUDO),
     "train": ("hyperparameter search, fit, and persist the model", cmd_train,
@@ -343,17 +342,11 @@ _COMMANDS = {
                 ("model", "input", "output"), {"drop_incomplete": False}),
     "evaluate": ("c-index and Brier score report", cmd_evaluate, ("input", "output"),
                  {"predictions": None, "model": None, "times": None, "drop_incomplete": False}),
-    "simulate": ("run a synthetic study end to end", cmd_simulate, ("out",), {
-        "study": "cox-dependent",
-        "replicates": 10,
-        "n": 2000,
-        "censoring_rate": 0.4,
-        "with_net": False,
-        "emit_data": False,
-        **_SEARCH,
-    }),
+    "simulate": ("run a synthetic study end to end", cmd_simulate, ("out",),
+                 {"study": "cox-dependent", "replicates": 10, "n": 2000, "censoring_rate": 0.4,
+                  "with_net": False, "emit_data": False, **_SEARCH}),
     "split": ("seeded train/test split of a dataset CSV", cmd_split,
-              ("input", "train_out", "test_out"), {"fraction": 0.75}),
+              ("input", "train_out", "test_out"), {"fraction": 0.75, "seed": 0}),
 }
 
 
@@ -367,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, handler, required, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="resolved-config JSON to replay")
-        for name, default in {**dict.fromkeys(required), **options, **_COMMON}.items():
+        for name, default in {**dict.fromkeys(required), **options}.items():
             flag = "--" + name.replace("_", "-")
             if isinstance(default, bool):
                 p.add_argument(flag, dest=name, action="store_const", const=True)
@@ -381,12 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a library warning prints as one line, without its source location
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         resolved = _resolve(args.command, args)
-        _, _, required, _ = _COMMANDS[args.command]
-        for key in required:
-            if not resolved.get(key):
-                raise DataError(f"missing required option --{key.replace('_', '-')}")
         with one_blas_thread():  # the workers, not BLAS, take the cores
             args.func(resolved)
     except (DataError, OSError, UnicodeDecodeError) as exc:
@@ -395,6 +387,8 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

@@ -692,13 +692,12 @@ def test_pool_results_do_not_depend_on_the_start_method(tmp_path):
 
 def test_threads_0_counts_the_cpus_this_process_may_use(monkeypatch):
     from pseudosurv import cli
-    args = cli._build_parser().parse_args(["split", "--input", "d.csv", "--train-out", "a.csv",
-                                           "--test-out", "b.csv"])
+    args = cli._build_parser().parse_args(["train", "--input", "d.csv", "--model-out", "m.json"])
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-    assert cli._resolve("split", args)["threads"] == 2
+    assert cli._resolve("train", args)["threads"] == 2
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._resolve("split", args)["threads"] == 64
+    assert cli._resolve("train", args)["threads"] == 64
 
 
 class TestErrors:
@@ -759,27 +758,33 @@ def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, kind, option):
     assert "Traceback" not in err
 
 
-# Every flag each subcommand takes and every key its config.json holds.
+# Every flag each subcommand takes and every key its config.json holds: each command takes,
+# writes and reads only its own options (threads is never written).  Older configs hold all
+# seven PATH_KEYS (null where the command takes no such path) and a seed, and still replay.
 PATH_KEYS = ["input", "model", "model_out", "out", "output", "test_out", "train_out"]
 PSEUDO_FLAGS = ["--censor-covariates", "--drop-incomplete", "--grid-percentiles",
                 "--grid-times", "--ipcw", "--weight-cap"]
 PSEUDO_KEYS = ["censor_covariates", "drop_incomplete", "grid_percentiles", "grid_times", "ipcw",
                "weight_cap"]
-SEARCH_FLAGS = ["--batch-size", "--budget", "--epochs", "--folds"]
-SEARCH_KEYS = ["batch_size", "budget", "epochs", "folds"]
-COMMON_FLAGS = ["--config", "--help", "--seed", "--threads"]
-COMMON_KEYS = ["command", "seed", "version"]
+SEARCH_FLAGS = ["--batch-size", "--budget", "--epochs", "--folds", "--seed", "--threads"]
+SEARCH_KEYS = ["batch_size", "budget", "epochs", "folds", "seed"]
+COMMON_FLAGS = ["--config", "--help"]
+COMMON_KEYS = ["command", "version"]
 CONTRACT = {
-    "transform": (["--input", "--output", *PSEUDO_FLAGS], PSEUDO_KEYS),
-    "train": (["--input", "--model-out", *PSEUDO_FLAGS, *SEARCH_FLAGS], PSEUDO_KEYS + SEARCH_KEYS),
-    "predict": (["--drop-incomplete", "--input", "--model", "--output"], ["drop_incomplete"]),
+    "transform": (["--input", "--output", *PSEUDO_FLAGS], ["input", "output", *PSEUDO_KEYS]),
+    "train": (["--input", "--model-out", *PSEUDO_FLAGS, *SEARCH_FLAGS],
+              ["input", "model_out", *PSEUDO_KEYS, *SEARCH_KEYS]),
+    "predict": (["--drop-incomplete", "--input", "--model", "--output"],
+                ["drop_incomplete", "input", "model", "output"]),
     "evaluate": (["--drop-incomplete", "--input", "--model", "--output", "--predictions",
-                  "--times"], ["drop_incomplete", "predictions", "times"]),
+                  "--times"], ["drop_incomplete", "input", "model", "output", "predictions",
+                               "times"]),
     "simulate": (["--censoring-rate", "--emit-data", "--n", "--out", "--replicates", "--study",
                   "--with-net", *SEARCH_FLAGS],
-                 ["censoring_rate", "emit_data", "n", "replicates", "study", "with_net",
+                 ["censoring_rate", "emit_data", "n", "out", "replicates", "study", "with_net",
                   *SEARCH_KEYS]),
-    "split": (["--fraction", "--input", "--test-out", "--train-out"], ["fraction"]),
+    "split": (["--fraction", "--input", "--seed", "--test-out", "--train-out"],
+              ["fraction", "input", "seed", "test_out", "train_out"]),
 }
 
 
@@ -826,21 +831,27 @@ def _tree(root):
 @pytest.mark.parametrize("command", sorted(REPLAYS))
 def test_config_replay_is_byte_identical(tmp_path, replay_inputs, command):
     # threads is not stored in config.json: results do not depend on it
+    threads = ["--threads", "1"] if "--threads" in CONTRACT[command][0] else []
     out = tmp_path / "out"
     out.mkdir()
     argv = [arg.format(**{"in": replay_inputs, "out": out}) for arg in REPLAYS[command]]
-    assert main([command, *argv, "--threads", "1"]) == 0
+    assert main([command, *argv, *threads]) == 0
     first = _tree(out)
     (config,) = out.rglob("*config.json")
     stored = json.loads(config.read_text())
-    assert sorted(stored) == sorted(PATH_KEYS + COMMON_KEYS + CONTRACT[command][1])
-    replay = tmp_path / "replay.json"
-    replay.write_bytes(config.read_bytes())
-    for path in out.rglob("*"):
-        if path.is_file():
-            path.unlink()
-    assert main([command, "--config", str(replay), "--threads", "1"]) == 0
-    assert _tree(out) == first
+    assert sorted(stored) == sorted(COMMON_KEYS + CONTRACT[command][1])
+    assert not [key for key in PATH_KEYS if key in stored and stored[key] is None]
+    # the layout written before each command stored only its own options replays too
+    layouts = {"own": stored, "all paths and seed": {**dict.fromkeys(PATH_KEYS), "seed": 0,
+                                                     **stored}}
+    for name, layout in layouts.items():
+        replay = tmp_path / f"{name}.json"
+        replay.write_text(json.dumps(layout))
+        for path in out.rglob("*"):
+            if path.is_file():
+                path.unlink()
+        assert main([command, "--config", str(replay), *threads]) == 0
+        assert _tree(out) == first, name
 
 
 # config file contents that exit 2 naming the file: (command, contents, message)
@@ -855,6 +866,11 @@ BAD_CONFIGS = {
     "text in number list": ("transform", {"grid_percentiles": ["a"]},
                             'grid_percentiles cannot be ["a"]'),
     "list for a path": ("transform", {"input": ["x"], "output": "o.csv"}, 'input cannot be ["x"]'),
+    "path of another command": ("transform", {"model": "m.json"}, "unknown key 'model'"),
+    "threads where none run": ("transform", {"threads": 2}, "unknown key 'threads'"),
+    "number seed": ("split", {"seed": 1.5}, "seed cannot be 1.5"),
+    "another command": ("transform", {"command": "train"},
+                        "config file is for command 'train', not 'transform'"),
 }
 
 
@@ -899,10 +915,11 @@ def test_hand_written_model_predicts(tmp_path):
                  str(tmp_path / "data.csv"), "--output", str(tmp_path / "p.csv")]) == 0
 
 
-# arguments, with {d} for a directory holding data.csv, early.csv (12 subjects,
-# the two events first), header.csv (no rows), an empty directory dir, malformed models
-# and a config file threads.json with a negative thread count, and the text the error
-# must hold
+# arguments, with {d} for a directory holding data.csv (5 subjects), early.csv (12 subjects,
+# the two events first), header.csv (no rows), an empty directory dir, malformed models,
+# prediction files pred.csv, noid.csv (no id column), abc.csv (a column not named by a time)
+# and short.csv (4 rows), and a config file threads.json with a negative thread count, and
+# the text the error must hold
 HOSTILE = {
     "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
                                     "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
@@ -920,6 +937,18 @@ HOSTILE = {
                                     "unknown covariate 'nope'"),
     "zero replicates": (["simulate", "--replicates", "0", "--out", "{d}/study"],
                         "replicates must be at least 1"),
+    "unknown study": (["simulate", "--study", "nope", "--out", "{d}/study"],
+                      "study must be aft, cox-dependent, or cox-independent"),
+    "split fraction above 1": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
+                                "--test-out", "{d}/te.csv", "--fraction", "1.5"],
+                               "split fraction must be in (0, 1)"),
+    **{f"predictions {case}": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
+                                "--predictions", f"{{d}}/{name}.csv"], message)
+       for case, name, message in [
+           ("without id", "noid", "predictions header must start with 'id'"),
+           ("column not a time", "abc",
+            "prediction columns after 'id' must be named by their times"),
+           ("short a row", "short", "predictions have 4 rows, data has 5")]},
     "nan grid time": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                        "--grid-times", "nan"], "cannot parse number list 'nan'"),
     "nan grid percentile": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
@@ -968,6 +997,9 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     (tmp_path / "v2.json").write_text('{"format_version": 2}')
     (tmp_path / "threads.json").write_text('{"threads": -1}')
     write_csv(tmp_path / "pred.csv", [["id", "2.5"]] + [[str(i), "0.5"] for i in range(5)])
+    write_csv(tmp_path / "noid.csv", [["subject", "2.5"]] + [[str(i), "0.5"] for i in range(5)])
+    write_csv(tmp_path / "abc.csv", [["id", "abc"]] + [[str(i), "0.5"] for i in range(5)])
+    write_csv(tmp_path / "short.csv", [["id", "2.5"]] + [[str(i), "0.5"] for i in range(4)])
     for case, (fields, _) in BAD_MODELS.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
     write_csv(tmp_path / "header.csv", [["time", "event", "z_1"]])
@@ -1012,3 +1044,18 @@ def test_hostile_invocation_exits_3(tmp_path, capsys, case):
     assert err.startswith("numeric failure: ") and message in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_library_warning_prints_one_line(tmp_path):
+    """A warning from the library reaches stderr as one ``warning: ...`` line, without its
+    source location; run in a child process, since pytest records warnings instead."""
+    write_csv(tmp_path / "d.csv", [["time", "event", "z_1"]]
+              + [[str(t), e, f"{t % 3}"] for t, e in enumerate("00110110", 1)])
+    env = {**os.environ, "PYTHONPATH": str(Path(ps.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run([sys.executable, "-m", "pseudosurv.cli", "transform", "--input",
+                          str(tmp_path / "d.csv"), "--output", str(tmp_path / "o.csv"),
+                          "--grid-times", "2.5,5"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ("warning: interval 0 (0, 2.5] contains no events; "
+                          "its pseudo values are all 1\n")

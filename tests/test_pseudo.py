@@ -363,3 +363,14 @@ class TestPseudoTableSerialization:
         table.to_csv(out / "fast.csv")
         pseudo_table_to_csv(table, out / "oracle.csv")
         assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda d, w: pseudo_marginal(d, 1.0, w),
+    lambda d, w: pseudo_conditional(d, make_grid(d, percentiles=[0.5]), w),
+    lambda d, w: estimators.nelson_aalen_weighted(d, w),
+], ids=["pseudo_marginal", "pseudo_conditional", "nelson_aalen_weighted"])
+def test_weights_for_another_dataset_size_raise(call):
+    d = random_censored_dataset(np.random.default_rng(3), 20)
+    with pytest.raises(DataError, match="weight function does not match dataset size"):
+        call(d, constant_weights(np.ones(30)))

@@ -1,17 +1,23 @@
-"""README's measured figures against the records they cite.
+"""README against the program and the records it cites.
 
 Every figure with a unit (s, ms or MB) in a README sentence that names a
 ``BENCH_*.json`` record is listed in ``FIGURES`` with the key that holds it
 in that record, and the key's value, printed at the figure's precision, is
 the figure.  A key that holds a list of runs stands for their median.  A
 table ends no sentence, so a table that a citing sentence introduces is
-checked with it.
+checked with it.  Every ``pseudosurv`` command line in README's shell blocks
+parses with the CLI's own parser.
 """
 
 import json
 import re
+import shlex
 import statistics
 from pathlib import Path
+
+import pytest
+
+from pseudosurv.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,3 +85,21 @@ def test_every_figure_is_its_key_at_the_printed_precision():
             number, unit = figure.split(" ")
             decimals = len(number.partition(".")[2])
             assert f"{value:.{decimals}f} {unit}" == figure, (record, path)
+
+
+def command_lines(text: str) -> list[str]:
+    """Each ``pseudosurv`` line of the text's ``sh`` blocks, joined with its continuations."""
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("pseudosurv ")]
+
+
+def test_readme_command_lines_parse():
+    lines = command_lines((ROOT / "README.md").read_text())
+    assert len(lines) >= 6
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
