@@ -20,6 +20,8 @@ from .errors import DataError, NumericError
 from .pseudo import TimeGrid, pseudo_marginal
 from .util import freeze
 
+_MAX_ITER = 100  # Gauss-Newton steps before the relative-gradient acceptance
+
 
 def cox_predict_survival(model: CoxModel, covariates, t):
     """S_0(t) ** exp(beta . (Z - means)) with S_0 = exp(-baseline cumhaz)."""
@@ -50,12 +52,7 @@ def _cloglog_mean(eta):
     return np.exp(-np.exp(eta))
 
 
-def fit_gee(
-    data: Dataset,
-    grid: TimeGrid,
-    ipcw: bool = False,
-    max_iter: int = 100,
-) -> GeeModel:
+def fit_gee(data: Dataset, grid: TimeGrid, ipcw: bool = False) -> GeeModel:
     """Fit the pseudo-value regression on marginal pseudo values at the grid times.
 
     With ``ipcw`` a Cox censoring model on all covariates supplies the
@@ -89,7 +86,7 @@ def fit_gee(
 
     current = sse(theta)
     with np.errstate(over="ignore"):  # a diverging fit overflows exp; it is refused below
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             jac, resid = linearize(theta)
             delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
             scale = 1.0

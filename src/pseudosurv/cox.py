@@ -19,6 +19,8 @@ from .errors import DataError, NumericError
 from .estimators import StepSurvivalCurve, WeightFunction
 from .util import _BLOCK_CELLS
 
+_MAX_ITER = 50  # Newton steps before a fit that has not converged is refused
+
 
 @dataclass(frozen=True)
 class CoxModel:
@@ -106,12 +108,8 @@ def _partial_loglik(ev, X, first, d, beta):
     return ll, grad, -total
 
 
-def fit_cox(
-    data: Dataset,
-    target: str = "event",
-    covariates: Sequence[str] | None = None,
-    max_iter: int = 50,
-) -> CoxModel:
+def fit_cox(data: Dataset, target: str = "event",
+            covariates: Sequence[str] | None = None) -> CoxModel:
     """Fit a Cox model to the event or censoring indicator.
 
     ``target='censoring'`` flips the indicator before fitting, so the model
@@ -140,7 +138,7 @@ def fit_cox(
         beta = np.zeros(p)
         ll, grad, hess = _partial_loglik(evs, X, first, d, beta)
         path = [ll]
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if np.max(np.abs(grad), initial=0.0) <= 1e-8:
                 break
             try:

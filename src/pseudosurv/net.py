@@ -128,8 +128,8 @@ class MlpModel:
         return self.covariate_mean.size
 
 
-def _activate(name: str, z: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(z, 0.0, out=out) if name == "relu" else np.tanh(z, out=out)
+def _activate(name: str, a: np.ndarray) -> np.ndarray:
+    return np.maximum(a, 0.0, out=a) if name == "relu" else np.tanh(a, out=a)
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -147,7 +147,9 @@ def _forward(weights, biases, activation, X):
     """Inference pass: the sigmoid output for every row of ``X``."""
     h = X
     for W, b in zip(weights[:-1], biases):
-        h = _activate(activation, h @ W + b)
+        h = h @ W
+        h += b
+        _activate(activation, h)
     z_out = (h @ weights[-1] + biases[-1])[:, 0]
     return _sigmoid(z_out, np.empty_like(z_out), np.empty(z_out.shape, dtype=bool))
 
@@ -159,7 +161,7 @@ class _Workspace:
     weights and biases are reshaped views into it, and the gradients the same
     views into ``grad``.  ``acts[l]`` is the input of layer l (the batch rows,
     then each hidden activation after dropout), and each hidden layer has a
-    (batch x width) buffer for its pre-activation ``z``, activation ``a``,
+    (batch x width) buffer ``a`` (pre-activation, activation, then derivative),
     dropout mask and upstream gradient.  A batch of m rows uses leading rows.
     """
 
@@ -180,7 +182,7 @@ class _Workspace:
         def per_layer():
             return [np.empty((batch, w)) for w in sizes[1:-1]]
 
-        self.z, self.a, self.upstream = per_layer(), per_layer(), per_layer()
+        self.a, self.upstream = per_layer(), per_layer()
         self.mask = per_layer() if dropout else []
         self.acts = [np.empty((batch, sizes[0])), *(per_layer() if dropout else self.a)]
         self.y, self.out, self.err = np.empty(batch), np.empty(batch), np.empty(batch)
@@ -198,11 +200,11 @@ def _batch_loss_and_grads(ws: _Workspace, config: MlpConfig, m: int, rng) -> flo
     The gradients go to ``ws.grad``; dropout masks are drawn from ``rng``.
     """
     rate = config.dropout_rate
-    for l in range(len(ws.z)):
-        z, a = ws.z[l][:m], ws.a[l][:m]
-        np.matmul(ws.acts[l][:m], ws.weights[l], out=z)
-        z += ws.biases[l]
-        _activate(config.activation, z, out=a)
+    for l in range(len(ws.a)):
+        a = ws.a[l][:m]
+        np.matmul(ws.acts[l][:m], ws.weights[l], out=a)
+        a += ws.biases[l]
+        _activate(config.activation, a)
         if rate:  # inverted dropout; the uniform draws become the mask in place
             mask = ws.mask[l][:m]
             rng.random(out=mask)
@@ -224,17 +226,18 @@ def _batch_loss_and_grads(ws: _Workspace, config: MlpConfig, m: int, rng) -> flo
     delta = err[:, None]
     np.matmul(h.T, delta, out=ws.grad_w[-1])
     np.sum(delta, axis=0, out=ws.grad_b[-1])
-    np.matmul(delta, ws.weights[-1].T, out=ws.upstream[-1][:m])
-    for l in range(len(ws.z) - 1, -1, -1):
-        upstream, z = ws.upstream[l][:m], ws.z[l][:m]
+    np.multiply(delta, ws.weights[-1].T, out=ws.upstream[-1][:m])  # one term per cell
+    for l in range(len(ws.a) - 1, -1, -1):
+        upstream, a = ws.upstream[l][:m], ws.a[l][:m]
         if rate:
             upstream *= ws.mask[l][:m]
-        if config.activation == "relu":  # the activation's derivative, written over z
-            np.greater(z, 0.0, out=z)
+        # the activation's derivative, written over a after its last reader, grad_w[l + 1]
+        if config.activation == "relu":
+            np.greater(a, 0.0, out=a)
         else:
-            np.multiply(ws.a[l][:m], ws.a[l][:m], out=z)
-            np.subtract(1.0, z, out=z)
-        upstream *= z
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+        upstream *= a
         np.matmul(ws.acts[l][:m].T, upstream, out=ws.grad_w[l])
         np.sum(upstream, axis=0, out=ws.grad_b[l])
         if l:

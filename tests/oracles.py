@@ -6,7 +6,10 @@ ran on preallocated buffers, and ``train`` builds its design matrix with one
 allocating form, kept as a byte oracle, since the buffered step must produce
 the same floats in the same order.  ``buffered_loss_and_grads`` runs the buffered step's kernel on a fresh
 workspace and returns copies, so finite-difference checks can call the
-library's own gradient on plain arrays.  ``pseudo_marginal_naive`` refits the
+library's own gradient on plain arrays.  ``inference_forward`` is the
+inference pass as it was before it activated each hidden layer in place: a
+fresh array for ``h @ W`` and another for ``+ b``, kept as a byte oracle for
+predictions.  ``pseudo_marginal_naive`` refits the
 estimator once per subject and ``nelson_aalen`` is the unweighted cumulative
 hazard.  ``constant_weights`` builds a ``WeightFunction`` whose weights are
 constant in time, one value per subject.
@@ -56,7 +59,7 @@ from pseudosurv import (
     ipcw_survival,
     kaplan_meier,
 )
-from pseudosurv import sim
+from pseudosurv import net, sim
 from pseudosurv.data import _MISSING_TOKENS, write_csv
 from pseudosurv.estimators import _event_table
 from pseudosurv.metrics import _check_matrix
@@ -106,6 +109,15 @@ def _forward(weights, biases, activation, X, dropout_rate=None, rng=None):
     z_out = h @ weights[-1] + biases[-1]
     out = _sigmoid(z_out[:, 0])
     return out, zs, acts, masks
+
+
+def inference_forward(weights, biases, activation, X):
+    """Inference pass: the sigmoid output for every row of ``X``."""
+    h = X
+    for W, b in zip(weights[:-1], biases):
+        h = _activate(activation, h @ W + b)
+    z_out = (h @ weights[-1] + biases[-1])[:, 0]
+    return net._sigmoid(z_out, np.empty_like(z_out), np.empty(z_out.shape, dtype=bool))
 
 
 def _loss_and_grads(weights, biases, config, X, y, dropout_rng=None):

@@ -12,7 +12,7 @@ import pytest
 
 import pseudosurv as ps
 from pseudosurv.cli import main as cli_main
-from pseudosurv.util import derived_seed, usable_cpus
+from pseudosurv.util import derived_seed, parallel_map, usable_cpus
 
 from oracles import buffered_loss_and_grads, pseudo_marginal_naive
 
@@ -44,10 +44,8 @@ def _search_grid(epochs=100):
 def _fit_and_score(train_data, test_data, levels, seed, budget_grid, k=5):
     """Grid-search the regressor on one replicate and score it beside Cox."""
     grid = ps.make_grid(train_data, percentiles=levels)
-    # results do not depend on n_jobs (criterion 9), so the searches take every usable CPU
     _, report_net = ps.fit_and_evaluate(
         train_data, test_data, grid, budget_grid, k=k, budget=len(budget_grid), seed=seed,
-        n_jobs=usable_cpus(),
     )
     return report_net, _cox_report(train_data, test_data, grid)
 
@@ -59,47 +57,63 @@ def _cox_report(train_data, test_data, grid):
     return ps.evaluate_predictions(test_data, pred, grid.cutpoints)
 
 
+# The two studies hand their (replicate, part) units to a pool on every usable CPU, the
+# costly units first, and each unit searches serially: results do not depend on the
+# worker count (criterion 9), and the pool keeps both cores busy through the refits too.
+
+
+def _friedman_unit(grid_cfgs, unit):
+    """One replicate of the nonlinear AFT comparison on one interval grid."""
+    rep, levels = unit
+    data = ps.gen_friedman_aft(
+        ps.FriedmanSpec(n=2000, censoring_rate=0.4, seed=derived_seed(1000, "aft", rep))
+    )
+    train_data, test_data = ps.split_dataset(data, 0.75, seed=rep)
+    seed = (100 if len(levels) == 6 else 200) + rep
+    return _fit_and_score(train_data, test_data, levels, seed, grid_cfgs)
+
+
 @pytest.fixture(scope="session")
 def friedman_study():
     """Five replicates of the nonlinear AFT comparison, 6 and 2 intervals."""
     six_levels = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
     two_levels = [0.2, 0.4]
-    rows = []
-    grid_cfgs = _search_grid()
-    for rep in range(5):
-        data = ps.gen_friedman_aft(
-            ps.FriedmanSpec(n=2000, censoring_rate=0.4, seed=derived_seed(1000, "aft", rep))
-        )
-        train_data, test_data = ps.split_dataset(data, 0.75, seed=rep)
-        net6, cox6 = _fit_and_score(train_data, test_data, six_levels, 100 + rep, grid_cfgs)
-        net2, _ = _fit_and_score(train_data, test_data, two_levels, 200 + rep, grid_cfgs)
-        rows.append({"net6": net6, "cox6": cox6, "net2": net2})
-    return rows
+    units = [(rep, levels) for levels in (six_levels, two_levels) for rep in range(5)]
+    reports = parallel_map(_friedman_unit, _search_grid(), units, usable_cpus())
+    return [{"net6": net6, "cox6": cox6, "net2": net2}
+            for (net6, cox6), (net2, _) in zip(reports[:5], reports[5:])]
+
+
+def _dependent_censoring_unit(grid_cfgs, unit):
+    """One replicate's plain or IPCW network, or its Cox baseline."""
+    rep, label = unit
+    train_data = ps.gen_cox(
+        ps.CoxSimSpec(n=2000, dependent_censoring=True, seed=derived_seed(2000, "tr", rep))
+    )
+    test_data = ps.gen_cox(
+        ps.CoxSimSpec(n=2000, dependent_censoring=True, seed=derived_seed(2000, "te", rep))
+    )
+    grid = ps.make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
+    if label == "cox":
+        return _cox_report(train_data, test_data, grid)
+    weights = None
+    if label == "ipcw":
+        censor_model = ps.fit_cox(train_data, target="censoring")
+        weights = ps.censoring_weights(train_data, censor_model, cap=20.0)
+    _, report = ps.fit_and_evaluate(
+        train_data, test_data, grid, grid_cfgs, weights=weights,
+        k=3, budget=len(grid_cfgs), seed=300 + rep,
+    )
+    return report
 
 
 @pytest.fixture(scope="session")
 def dependent_censoring_study():
     """Three replicates of the covariate-dependent censoring comparison."""
-    grid_cfgs = _search_grid()[:4]
-    out = []
-    for rep in range(3):
-        train_data = ps.gen_cox(
-            ps.CoxSimSpec(n=2000, dependent_censoring=True, seed=derived_seed(2000, "tr", rep))
-        )
-        test_data = ps.gen_cox(
-            ps.CoxSimSpec(n=2000, dependent_censoring=True, seed=derived_seed(2000, "te", rep))
-        )
-        grid = ps.make_grid(train_data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
-        censor_model = ps.fit_cox(train_data, target="censoring")
-        ipcw = ps.censoring_weights(train_data, censor_model, cap=20.0)
-        reports = {"cox": _cox_report(train_data, test_data, grid)}
-        for label, weights in (("plain", None), ("ipcw", ipcw)):
-            _, reports[label] = ps.fit_and_evaluate(
-                train_data, test_data, grid, grid_cfgs, weights=weights,
-                k=3, budget=len(grid_cfgs), seed=300 + rep, n_jobs=usable_cpus(),
-            )
-        out.append(reports)
-    return out
+    labels = ("plain", "ipcw", "cox")
+    units = [(rep, label) for label in labels for rep in range(3)]
+    reports = parallel_map(_dependent_censoring_unit, _search_grid()[:4], units, usable_cpus())
+    return [dict(zip(labels, reports[rep::3])) for rep in range(3)]
 
 
 class TestCriterion1GeeBias:

@@ -92,13 +92,14 @@ class TestGee:
         model = fit_gee(data, grid)
         assert model.beta[0] > 0.4
 
-    def test_non_convergence_error(self):
-        from pseudosurv import NumericError
+    def test_non_convergence_error(self, monkeypatch):
+        from pseudosurv import NumericError, baselines
 
         data = gen_cox(CoxSimSpec(n=400, beta=1.0, dependent_censoring=True, seed=13))
         grid = make_grid(data, percentiles=[0.2, 0.4])
+        monkeypatch.setattr(baselines, "_MAX_ITER", 1)
         with pytest.raises(NumericError, match="gee did not converge"):
-            fit_gee(data, grid, max_iter=1)
+            fit_gee(data, grid)
 
 
     def test_no_acceptable_step_after_40_halvings(self, monkeypatch):

@@ -180,20 +180,23 @@ class TestFitCox:
         with pytest.raises(DataError, match="no target events"):
             fit_cox(d, target="censoring")
 
-    def test_non_convergence_error(self):
+    def test_non_convergence_error(self, monkeypatch):
         data = gen_cox(CoxSimSpec(n=500, beta=1.0, censoring_rate=0.3, seed=9))
+        monkeypatch.setattr(cox, "_MAX_ITER", 1)
         with pytest.raises(NumericError, match="cox did not converge"):
-            fit_cox(data, max_iter=1)
+            fit_cox(data)
 
-    def test_max_iter_is_the_number_of_newton_steps(self):
+    def test_max_iter_is_the_number_of_newton_steps(self, monkeypatch):
         data = gen_cox(CoxSimSpec(n=500, beta=1.0, censoring_rate=0.3, seed=9))
         full = fit_cox(data)
         steps = len(full.loglik_path) - 1
-        exact = fit_cox(data, max_iter=steps)
+        monkeypatch.setattr(cox, "_MAX_ITER", steps)
+        exact = fit_cox(data)
         assert exact.beta.tobytes() == full.beta.tobytes()
         assert exact.loglik_path == full.loglik_path
+        monkeypatch.setattr(cox, "_MAX_ITER", steps - 1)
         with pytest.raises(NumericError, match="cox did not converge"):
-            fit_cox(data, max_iter=steps - 1)
+            fit_cox(data)
 
     def test_covariate_subset(self):
         data = gen_cox(CoxSimSpec(n=400, beta=1.0, censoring_rate=0.3, seed=2))

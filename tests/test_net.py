@@ -294,6 +294,29 @@ class TestPrediction:
             1 / (1 + np.exp(-10.0)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden_layers", [(16,), (32, 8)])
+    def test_conditional_matrix_equals_inference_oracle_bytes(self, activation, hidden_layers):
+        rng = np.random.default_rng(7)
+        n, p, J = 300, 3, 4  # 300 rows: not a multiple of 256
+        sizes = [p + J, *hidden_layers, 1]
+        model = MlpModel(
+            config=small_config(hidden_layers=hidden_layers, activation=activation),
+            cutpoints=np.arange(1.0, J + 1.0),
+            covariate_mean=rng.standard_normal(p),
+            covariate_std=rng.uniform(0.5, 2.0, p),
+            weights=[rng.standard_normal(shape) for shape in zip(sizes, sizes[1:])],
+            biases=[rng.standard_normal(size) for size in sizes[1:]],
+        )
+        z = rng.standard_normal((n, p))
+        X = np.hstack([(z - model.covariate_mean) / model.covariate_std, np.zeros((n, J))])
+        want = np.empty((n, J))
+        for j in range(J):
+            X[:, p:] = 0.0
+            X[:, p + j] = 1.0
+            want[:, j] = oracles.inference_forward(model.weights, model.biases, activation, X)
+        assert predict_conditional_matrix(model, z).tobytes() == want.tobytes()
+
     def test_marginal_is_product(self):
         model = self._handmade_model([0.9, 0.8, 0.7])
         cond = predict_conditional_matrix(model, np.empty(0))[0]

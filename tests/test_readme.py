@@ -5,8 +5,10 @@ Every figure with a unit (s, ms or MB) in a README sentence that names a
 in that record, and the key's value, printed at the figure's precision, is
 the figure.  A key that holds a list of runs stands for their median.  A
 table ends no sentence, so a table that a citing sentence introduces is
-checked with it.  Every ``pseudosurv`` command line in README's shell blocks
-parses with the CLI's own parser.
+checked with it.  A run count ("medians of N alternating runs") in a citing
+sentence is the length of every list of runs in that record, found under the
+key ``RUN_LISTS`` names.  Every ``pseudosurv`` command line in README's shell
+blocks parses with the CLI's own parser.
 """
 
 import json
@@ -48,22 +50,68 @@ FIGURES = {
         "194.8 MB": ("commands", "n=20000", "transform --ipcw", "parent", "peak_rss_mb"),
     },
     "BENCH_tests.json": {
-        "65 s": ("runs", "1 (parent first)", "change", "durations_top20", 0, 0),
-        "17 s": ("runs", "1 (parent first)", "change", "durations_top20", 1, 0),
-        "125 s": ("runs", "1 (parent first)", "change", "pytest_total_s"),
+        "68 s": ("totals", "change", "friedman_study_setup_s"),
+        "16 s": ("totals", "change", "dependent_censoring_study_setup_s"),
+        "140 s": ("totals", "change", "pytest_total_s"),
+        "80 s": ("totals", "parent", "friedman_study_setup_s"),
+        "20 s": ("totals", "parent", "dependent_censoring_study_setup_s"),
+        "152 s": ("totals", "parent", "pytest_total_s"),
     },
 }
 FIGURE = re.compile(r"(?<![\w.])\d+(?:\.\d+)? (?:s|ms|MB)\b")
+# record whose citing sentences give a run count -> the key of each cell's list of runs
+RUN_LISTS = {"BENCH_import.json": "wall_ms", "BENCH_threads.json": "wall_s",
+             "BENCH_tests.json": "pytest_total_s"}
+RUN_COUNT = re.compile(r"medians of (\d+) alternating\s+runs")
+
+
+def cited_matches(pattern: re.Pattern, text: str) -> dict[str, set[str]]:
+    """Each record the text cites, with the matches of ``pattern`` in the sentences citing it."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    found = {}
+    for sentence in re.split(r"(?<=[.!?])\s+(?=[A-Z`(*])", text):
+        for record in set(re.findall(r"BENCH_\w+\.json", sentence)):
+            found.setdefault(record, set()).update(pattern.findall(sentence))
+    return found
 
 
 def cited_figures() -> dict[str, set[str]]:
     """Each record README cites, with the figures of the sentences that cite it."""
-    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
-    cited = {}
-    for sentence in re.split(r"(?<=[.!?])\s+(?=[A-Z`(*])", text):
-        for record in set(re.findall(r"BENCH_\w+\.json", sentence)):
-            cited.setdefault(record, set()).update(FIGURE.findall(sentence))
-    return cited
+    return cited_matches(FIGURE, (ROOT / "README.md").read_text())
+
+
+def run_lists(node, key: str):
+    """Every list held under ``key`` anywhere in a record."""
+    if isinstance(node, dict):
+        for name, value in node.items():
+            if name == key and isinstance(value, list):
+                yield value
+            else:
+                yield from run_lists(value, key)
+    elif isinstance(node, list):
+        for value in node:
+            yield from run_lists(value, key)
+
+
+def check_run_counts(text: str) -> None:
+    counts = {record: found for record, found in cited_matches(RUN_COUNT, text).items() if found}
+    assert set(counts) == set(RUN_LISTS)
+    for record, found in counts.items():
+        data = json.loads((ROOT / record).read_text())
+        sizes = {str(len(runs)) for runs in run_lists(data, RUN_LISTS[record])}
+        assert found == sizes, (record, found, sizes)
+
+
+def test_every_cited_run_count_is_the_runs_per_cell():
+    check_run_counts((ROOT / "README.md").read_text())
+
+
+def test_a_wrong_run_count_fails():
+    text = (ROOT / "README.md").read_text()
+    wrong = text.replace("medians of 10 alternating", "medians of 6 alternating")
+    assert wrong != text
+    with pytest.raises(AssertionError):
+        check_run_counts(wrong)
 
 
 def test_every_cited_figure_names_its_key():
