@@ -17,6 +17,10 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+if __name__ == "__main__":  # a program sets its BLAS threads before numpy loads
+    from ._entry import main
+    sys.exit(main())
+
 import numpy as np
 
 from . import __version__
@@ -390,7 +394,3 @@ def main(argv=None) -> int:
     finally:
         warnings.formatwarning = formatwarning
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

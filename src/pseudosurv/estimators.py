@@ -102,9 +102,6 @@ def censoring_kaplan_meier(data: Dataset) -> StepSurvivalCurve:
     return kaplan_meier(flipped)
 
 
-# a sample of at most this many blocks' cells (8 MiB) is one block, so the
-# leave-one-out pass reuses its weights: every sample of up to 1 024 subjects
-_REUSE_BLOCKS = 8
 # subjects per block of a one-column sample
 _SUM_GROUP = 1024
 _TINY = np.finfo(float).tiny
@@ -216,18 +213,16 @@ def _at_risk_weights(times, u, weights: WeightFunction, rows, offset: float):
     (weight row ``rows[sl.start + i]``) if its time is >= u[k], else 0.  Every block
     is written into the one buffer ``buf`` as ``buf[1:len(w) + 1]``; the
     head row ``buf[0]`` is left free for a running column total.  A block
-    holds about ``_BLOCK_CELLS`` cells, and a sample of at most
-    ``_REUSE_BLOCKS`` blocks' cells is a single block; one column comes in
-    blocks of ``_SUM_GROUP`` subjects instead.  Only the rows of subjects
-    that leave the risk set before ``u[-1]`` have a suffix to zero; every
-    other row is all at risk.
+    holds about ``_BLOCK_CELLS`` cells; one column or none comes in blocks
+    of ``_SUM_GROUP`` subjects instead.  Only the rows of subjects that leave
+    the risk set before ``u[-1]`` have a suffix to zero; every other row is
+    all at risk.
     """
     m, K = times.size, u.size
     sample = weights.subset(rows)  # validates the sample's relative risks once
     lam = sample._cumhaz_left(u + offset)
     # numpy sums one column pairwise, so its block length sets the bits of the column sum
-    step = (_SUM_GROUP if K == 1 else m if m * K <= _REUSE_BLOCKS * _BLOCK_CELLS
-            else max(1, _BLOCK_CELLS // K))
+    step = _SUM_GROUP if K <= 1 else max(1, _BLOCK_CELLS // K)
     buf = np.empty((min(step, m) + 1, K))
     reach = np.searchsorted(u, times, side="right")  # event times at or before each time
     for lo in range(0, m, step):
@@ -246,14 +241,11 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
     ``rows[k]`` of ``weights``, evaluated at ``u + offset``.  A[j] adds the
     weights of the events at u[j], B[j] those of the subjects with time >= u[j].
     The weights come in blocks of about ``_BLOCK_CELLS`` cells (1 MiB, inside
-    a per-core L2 cache; a sample of at most 8 MiB of weights is one block),
-    so memory is O(n + len(u)) beyond those 8 MiB, and each weight costs
-    about four passes: product, exp, reciprocal and the column sum.  B adds
-    the subjects one by one in sample order whatever the block size; one
-    column (K == 1) numpy sums pairwise, over each block of ``_SUM_GROUP``
-    subjects behind the running total.  Returns (A, B, w) where ``w`` is the
-    sample's at-risk weight block (see :func:`_at_risk_weights`) when the
-    sample is one block, else None.
+    a per-core L2 cache), so memory is O(n + len(u)) beyond one block, and
+    each weight costs about four passes: product, exp, reciprocal and the
+    column sum.  B adds the subjects one by one in sample order whatever the
+    block size; one column (K == 1) numpy sums pairwise, over each block of
+    ``_SUM_GROUP`` subjects behind the running total.
     """
     K = u.size
     col = np.searchsorted(u, times, side="left")
@@ -267,7 +259,7 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
         buf[0] = B
         B = buf[: len(w) + 1].sum(axis=0)
     A = np.bincount(col[hit], weights=np.concatenate(event_w), minlength=K)
-    return A, B, (w if len(w) == times.size else None)
+    return A, B
 
 
 def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurvivalCurve:
@@ -281,7 +273,7 @@ def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurviva
     if weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")
     u = distinct(data.time[data.event])
-    num, den, _ = _ipcw_sums(data.time, data.event, u, weights, np.arange(len(data)))
+    num, den = _ipcw_sums(data.time, data.event, u, weights, np.arange(len(data)))
     return StepSurvivalCurve(u, np.cumsum(num / den), 0.0)
 
 

@@ -262,20 +262,23 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     """
     if len(table) == 0:
         raise DataError("empty pseudo table")
+    # the design matrix [(covariates - mean) / std, one-hot interval], written in place
+    n_rows, p = table.covariates.shape
+    n_in = p + table.n_intervals
+    X = np.zeros((n_rows, n_in))
+    Z = X[:, :p]
     with np.errstate(all="ignore"):  # an overflow is refused below
         mean = table.covariates.mean(axis=0)
-        std = table.covariates.std(axis=0)
+        # np.std's arithmetic, with the squared deviations written into Z
+        np.subtract(table.covariates, mean, out=Z)
+        std = np.sqrt(np.multiply(Z, Z, out=Z).sum(axis=0) / n_rows)
     bad = np.flatnonzero(~np.isfinite(std)).tolist()  # a non-finite mean makes std one too
     if bad:
         names = ", ".join(table.covariate_names[k] for k in bad)
         raise NumericError(f"covariates {names} overflow their mean or standard deviation")
     std = np.where(std > 0, std, 1.0)
-    # the design matrix [(covariates - mean) / std, one-hot interval], written in place
-    n_rows, p = table.covariates.shape
-    n_in = p + table.n_intervals
-    X = np.zeros((n_rows, n_in))
-    np.subtract(table.covariates, mean, out=X[:, :p])
-    X[:, :p] /= std
+    np.subtract(table.covariates, mean, out=Z)
+    Z /= std
     X[np.arange(n_rows), p + table.time_index] = 1.0
     y = table.pseudo
 

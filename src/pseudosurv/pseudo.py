@@ -210,14 +210,12 @@ def _ipcw_loo(times, events, u, weights, rows, time_offset):
     takes weight row ``rows[k]``, evaluated at ``u + time_offset``.  Removing
     a subject drops its weight from both the event sum and the at-risk sum of
     every term; a term whose risk set empties contributes nothing.  A first
-    pass accumulates the sums, a second computes each subject's leave-one-out
-    terms, both over the same blocks of about 1 MiB of weights: memory
-    O(n + len(u)) beyond at most 8 MiB of weights.  A sample that is one
-    block keeps its weights from the first pass; otherwise the second pass
-    computes them again.  Per weight the second pass adds a subtraction, a division and the
-    row sum.
+    pass accumulates the sums, a second computes the weights again and each
+    subject's leave-one-out terms, both over the same blocks of about 1 MiB
+    of weights: memory O(n + len(u)) beyond one block.  Per weight the second
+    pass adds a subtraction, a division and the row sum.
     """
-    A, B, w = _ipcw_sums(times, events, u, weights, rows, time_offset)
+    A, B = _ipcw_sums(times, events, u, weights, rows, time_offset)
     s_full = float(np.exp(-(A / B).sum()))
     m, K = times.size, u.size
     col = np.searchsorted(u, times, side="left")
@@ -226,15 +224,10 @@ def _ipcw_loo(times, events, u, weights, rows, time_offset):
     # second-largest time, where the risk set holds one subject: every weight is
     # in [min(1, cap), cap], and with cap <= 2**50 no weight absorbs another in a
     # sum.  Only the columns from ``safe`` on take the guarded divide.
-    safe = int(np.searchsorted(u, np.partition(times, m - 2)[m - 2], side="right"))
-    if weights.cap > 2.0**50:
-        safe = 0
-    if w is not None:
-        blocks = [(slice(0, m), w)]
-    else:
-        blocks = ((sl, wb) for sl, _, wb in _at_risk_weights(times, u, weights, rows, time_offset))
+    safe = 0 if weights.cap > 2.0**50 else int(
+        np.searchsorted(u, np.partition(times, m - 2)[m - 2], side="right"))
     s_loo = np.empty(m)
-    for sl, wb in blocks:
+    for sl, _, wb in _at_risk_weights(times, u, weights, rows, time_offset):
         ev = np.flatnonzero(own[sl])
         ev_col = col[sl][ev]
         ev_w = wb[ev, ev_col]

@@ -636,27 +636,66 @@ def test_replays_across_blas_kernels(tmp_path):
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def _package_env(**extra):
+    """This environment with the package on the path, no BLAS thread variable and ``extra``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ps.__file__).parents[1])}
+    for name in BLAS_THREAD_VARIABLES:
+        env.pop(name, None)
+    return {**env, **extra}
+
+
 @pytest.mark.parametrize("batch", ["256", "1024"])
 def test_model_bytes_independent_of_thread_counts(tmp_path, batch):
-    """``train`` writes the same model at --threads 1 and 2, with BLAS at its default thread
-    count and with OPENBLAS_NUM_THREADS=1."""
+    """``train`` writes the same model at --threads 1 and 2: run as a program, with no BLAS
+    thread variable and with OPENBLAS_NUM_THREADS=1, and through the library entry, where numpy
+    keeps its default BLAS thread count and the runtime pin holds."""
     save_dataset(gen_friedman_aft(FriedmanSpec(n=1000, censoring_rate=0.4, seed=5)),
                  tmp_path / "d.csv")
     models = set()
     for threads in ("1", "2"):
-        for blas in (None, "1"):
-            env = {**os.environ, "PYTHONPATH": str(Path(ps.__file__).parents[1])}
-            for name in BLAS_THREAD_VARIABLES:
-                env.pop(name, None)
-            if blas:
-                env["OPENBLAS_NUM_THREADS"] = blas
-            out = tmp_path / f"m_{threads}_{blas}.json"
-            subprocess.run([sys.executable, "-m", "pseudosurv.cli", "train", "--input",
-                            str(tmp_path / "d.csv"), "--model-out", str(out), "--budget", "1",
-                            "--folds", "2", "--epochs", "3", "--batch-size", batch, "--seed", "40",
-                            "--threads", threads], env=env, check=True)
+        for k, (entry, blas) in enumerate([("program", {}),
+                                            ("program", {"OPENBLAS_NUM_THREADS": "1"}),
+                                            ("library", {})]):
+            out = tmp_path / f"m_{threads}_{k}.json"
+            argv = ["train", "--input", str(tmp_path / "d.csv"), "--model-out", str(out),
+                    "--budget", "1", "--folds", "2", "--epochs", "3", "--batch-size", batch,
+                    "--seed", "40", "--threads", threads]
+            if entry == "library":
+                cmd = ["-c", f"from pseudosurv.cli import main; assert main({argv!r}) == 0"]
+            else:
+                cmd = ["-m", "pseudosurv.cli", *argv]
+            subprocess.run([sys.executable, *cmd], env=_package_env(**blas), check=True)
             models.add(out.read_bytes())
     assert len(models) == 1
+
+
+THREADS_AT_EXIT = "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's /proc")
+@pytest.mark.parametrize("entry", ["console script", "python -m"])
+def test_program_runs_on_one_thread(tmp_path, entry):
+    """A serial command run as a program starts numpy's OpenBLAS on one thread, so its process
+    ends with no thread but its own."""
+    save_dataset(gen_cox(CoxSimSpec(n=60, seed=3)), tmp_path / "d.csv")
+    argv = ["pseudosurv", "train", "--input", str(tmp_path / "d.csv"), "--model-out",
+            str(tmp_path / "m.json"), "--budget", "1", "--folds", "2", "--epochs", "1",
+            "--threads", "1"]
+    run = ("from pseudosurv._entry import main\ncode = main()" if entry == "console script"
+           else "import runpy\ntry:\n    runpy.run_module('pseudosurv.cli', run_name='__main__',"
+                " alter_sys=True)\nexcept SystemExit as exc:\n    code = exc.code")
+    code = f"import sys\nsys.argv = {argv!r}\n{run}\nassert code == 0\n{THREADS_AT_EXIT}\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_package_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1"]
+
+
+def test_library_import_leaves_the_environment_alone():
+    """Only the program sets OpenBLAS's thread variable; importing the package sets nothing."""
+    code = ("import os\nbefore = dict(os.environ)\nimport pseudosurv, pseudosurv.cli\n"
+            "from pseudosurv import *\nassert dict(os.environ) == before")
+    subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True)
 
 
 def test_pool_results_do_not_depend_on_the_start_method(tmp_path):

@@ -5,6 +5,7 @@ values must be byte-identical, whatever the block size.  The oracle results
 come from the same public functions with the kernel swapped for the oracle's.
 """
 
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from unittest import mock
@@ -28,9 +29,14 @@ from pseudosurv import estimators, pseudo
 import oracles
 
 
+def oracle_sums(*args):
+    """The oracle's (A, B), without the one-block weights that only its own ``_ipcw_loo`` reads."""
+    return oracles._ipcw_sums(*args)[:2]
+
+
 def with_oracle_kernel(fn, *args):
     with mock.patch.object(pseudo, "_ipcw_loo", oracles._ipcw_loo), \
-            mock.patch.object(estimators, "_ipcw_sums", oracles._ipcw_sums):
+            mock.patch.object(estimators, "_ipcw_sums", oracle_sums):
         return fn(*args)
 
 
@@ -138,6 +144,31 @@ class TestAgainstOracleKernel:
         assert n * np.unique(times[events & (times <= t)]).size > 8 * estimators._BLOCK_CELLS
         assert same_bytes(pseudo_marginal(d, t, weights),
                           with_oracle_kernel(pseudo_marginal, d, t, weights))
+
+
+def test_working_set_is_one_weight_block():
+    """A 1 000-subject sample with a few hundred event times is worked on one block of about
+    1 MiB of weights at a time, plus arrays of O(n + K) floats: never its whole (n x K)
+    at-risk weight matrix, 2.7 MB here."""
+    rng = np.random.default_rng(7)
+    n = 1000
+    times = rng.exponential(1.0, n)
+    events = rng.random(n) < 0.7
+    weights = WeightFunction(np.sort(rng.uniform(0, 3, 40)), np.linspace(0.01, 1.5, 40),
+                             np.exp(rng.normal(0.0, 0.5, n)), 20.0)
+    d = Dataset(times, events, np.empty((n, 0)), ())
+    t = float(np.quantile(times, 0.5))
+    K = np.unique(times[events & (times <= t)]).size
+    assert K >= 300
+    pseudo_marginal(d, t, weights)  # first-call set-up stays out of the count
+    tracemalloc.start()
+    try:
+        pseudo_marginal(d, t, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (estimators._BLOCK_CELLS // K + 1) * K * 8  # with its head row
+    assert peak <= block + 32 * (n + K) * 8
 
 
 class TestAgainstNaiveRefit:

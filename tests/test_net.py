@@ -101,6 +101,22 @@ class TestTraining:
             assert np.array_equal(wa, wb)
         assert a.training_log == b.training_log
 
+    @pytest.mark.parametrize("p, constant", [(1, False), (1, True), (2, False), (20, True)])
+    def test_covariate_std_is_numpys_std(self, rng, p, constant):
+        """The std is summed from squares written into the design matrix, bit for bit np.std
+        with zeros replaced by 1; numpy sums one column (p = 1) of the 12 000 rows pairwise."""
+        table = toy_table(rng, n=4000, p=p)
+        covs = 5.0 + 100.0 * table.covariates
+        if constant:
+            covs[:, -1] = 3.0
+        table = PseudoTable(table.subject_ids, covs, table.time_index, table.pseudo, table.grid,
+                            table.covariate_names)
+        want = covs.std(axis=0)
+        want[want == 0] = 1.0
+        assert (want == 1.0).any() == constant
+        got = train(table, small_config(epochs=1, batch_size=4096)).covariate_std
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_gradient_check_two_hidden_layers(self):
         rng = np.random.default_rng(3)
         config = MlpConfig(

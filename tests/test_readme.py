@@ -56,6 +56,7 @@ FIGURES = {
         "80 s": ("totals", "parent", "friedman_study_setup_s"),
         "20 s": ("totals", "parent", "dependent_censoring_study_setup_s"),
         "152 s": ("totals", "parent", "pytest_total_s"),
+        "43 s": ("fast_subset", "change", "pytest_s"),
     },
 }
 FIGURE = re.compile(r"(?<![\w.])\d+(?:\.\d+)? (?:s|ms|MB)\b")
