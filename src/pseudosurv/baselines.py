@@ -18,7 +18,7 @@ from .cox import CoxModel, censoring_weights, fit_cox
 from .data import Dataset
 from .errors import DataError, NumericError
 from .pseudo import TimeGrid, pseudo_marginal
-from .util import freeze
+from .util import freeze, one_blas_thread
 
 _MAX_ITER = 100  # Gauss-Newton steps before the relative-gradient acceptance
 
@@ -52,6 +52,7 @@ def _cloglog_mean(eta):
     return np.exp(-np.exp(eta))
 
 
+@one_blas_thread()
 def fit_gee(data: Dataset, grid: TimeGrid, ipcw: bool = False) -> GeeModel:
     """Fit the pseudo-value regression on marginal pseudo values at the grid times.
 

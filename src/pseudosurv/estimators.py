@@ -1,4 +1,4 @@
-"""Nonparametric survival estimation primitives.
+"""Nonparametric survival estimation primitives and their leave-one-out values.
 
 Everything here is expressed over one right-continuous step-function
 representation: a curve is its jump locations plus the value that holds from
@@ -94,6 +94,43 @@ def kaplan_meier(data: Dataset) -> StepSurvivalCurve:
     base = np.concatenate(([1.0], np.cumprod(run_end_ratio)[:-1]))
     values = base[run_id] * (survivors / run_start[run_id])
     return StepSurvivalCurve(u, values, 1.0)
+
+
+def _km_loo(times: np.ndarray, events: np.ndarray, horizon: float):
+    """Kaplan-Meier at ``horizon`` plus all leave-one-out values.
+
+    Returns (s_full, s_loo, exact_binary).  When no subject is censored at or
+    before the horizon the product-limit estimator telescopes to counting
+    survivors, the jackknife collapses to the survival indicator exactly, and
+    the flag is set so callers can emit exact 0/1 pseudo values.
+    """
+    m = times.size
+    if not np.any(~events & (times <= horizon)):
+        above = times > horizon
+        c = int(above.sum())
+        s_full = c / m
+        s_loo = (c - above) / (m - 1)
+        return s_full, s_loo, True
+
+    u, d, nrisk = _event_table(times, events)
+    mstar = int(np.searchsorted(u, horizon, side="right"))
+    p = 1.0 - d / nrisk
+    safe = nrisk > 1
+    q = np.where(safe, 1.0 - d / np.maximum(nrisk - 1, 1), 1.0)
+    e = np.where(safe, 1.0 - (d - 1) / np.maximum(nrisk - 1, 1), 1.0)
+
+    qprod = np.concatenate(([1.0], np.cumprod(q[:mstar])))
+    pprod_full = float(np.prod(p[:mstar]))
+    tail = np.ones(mstar + 1)
+    tail[:mstar] = np.cumprod(p[:mstar][::-1])[::-1]
+
+    a = np.searchsorted(u, times, side="right")  # event times <= T_i
+    b = np.minimum(a, mstar)
+    s_loo = qprod[b] * tail[b]
+    own_event = events & (a >= 1) & (a <= mstar)
+    ai = a[own_event]
+    s_loo[own_event] = qprod[ai - 1] * e[ai - 1] * tail[ai]
+    return pprod_full, s_loo, False
 
 
 def censoring_kaplan_meier(data: Dataset) -> StepSurvivalCurve:
@@ -260,6 +297,48 @@ def _ipcw_sums(times, events, u, weights: WeightFunction, rows, offset: float = 
         B = buf[: len(w) + 1].sum(axis=0)
     A = np.bincount(col[hit], weights=np.concatenate(event_w), minlength=K)
     return A, B
+
+
+def _ipcw_loo(times, events, u, weights, rows, time_offset):
+    """IPCW survival exp(-weighted hazard) at the horizon plus leave-one-out values.
+
+    ``u`` are the distinct event times at or before the horizon; subject k
+    takes weight row ``rows[k]``, evaluated at ``u + time_offset``.  Removing
+    a subject drops its weight from both the event sum and the at-risk sum of
+    every term; a term whose risk set empties contributes nothing.  A first
+    pass accumulates the sums, a second computes the weights again and each
+    subject's leave-one-out terms, both over the same blocks of about 1 MiB
+    of weights: memory O(n + len(u)) beyond one block.  Per weight the second
+    pass adds a subtraction, a division and the row sum.
+    """
+    A, B = _ipcw_sums(times, events, u, weights, rows, time_offset)
+    s_full = float(np.exp(-(A / B).sum()))
+    m, K = times.size, u.size
+    col = np.searchsorted(u, times, side="left")
+    own = events & (col < K)
+    # B[k] minus one at-risk weight can be 0 only at the event times after the
+    # second-largest time, where the risk set holds one subject: every weight is
+    # in [min(1, cap), cap], and with cap <= 2**50 no weight absorbs another in a
+    # sum.  Only the columns from ``safe`` on take the guarded divide.
+    safe = 0 if weights.cap > 2.0**50 else int(
+        np.searchsorted(u, np.partition(times, m - 2)[m - 2], side="right"))
+    s_loo = np.empty(m)
+    for sl, _, wb in _at_risk_weights(times, u, weights, rows, time_offset):
+        ev = np.flatnonzero(own[sl])
+        ev_col = col[sl][ev]
+        ev_w = wb[ev, ev_col]
+        # in place: the at-risk weights become the leave-one-out at-risk sums, then the terms
+        np.subtract(B, wb, out=wb)
+        ev_den = wb[ev, ev_col]
+        np.divide(A[:safe], wb[:, :safe], out=wb[:, :safe])
+        tail = wb[:, safe:]
+        pos = tail > 0
+        np.divide(A[safe:], tail, out=tail, where=pos)
+        np.copyto(tail, 0.0, where=~pos)
+        ok = ev_den > 0
+        wb[ev[ok], ev_col[ok]] = (A[ev_col[ok]] - ev_w[ok]) / ev_den[ok]
+        s_loo[sl] = np.exp(-wb.sum(axis=1))
+    return s_full, s_loo
 
 
 def nelson_aalen_weighted(data: Dataset, weights: WeightFunction) -> StepSurvivalCurve:

@@ -266,18 +266,15 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     n_rows, p = table.covariates.shape
     n_in = p + table.n_intervals
     X = np.zeros((n_rows, n_in))
-    Z = X[:, :p]
     with np.errstate(all="ignore"):  # an overflow is refused below
         mean = table.covariates.mean(axis=0)
-        # np.std's arithmetic, with the squared deviations written into Z
-        np.subtract(table.covariates, mean, out=Z)
-        std = np.sqrt(np.multiply(Z, Z, out=Z).sum(axis=0) / n_rows)
+        std = table.covariates.std(axis=0)
     bad = np.flatnonzero(~np.isfinite(std)).tolist()  # a non-finite mean makes std one too
     if bad:
         names = ", ".join(table.covariate_names[k] for k in bad)
         raise NumericError(f"covariates {names} overflow their mean or standard deviation")
     std = np.where(std > 0, std, 1.0)
-    np.subtract(table.covariates, mean, out=Z)
+    Z = np.subtract(table.covariates, mean, out=X[:, :p])
     Z /= std
     X[np.arange(n_rows), p + table.time_index] = 1.0
     y = table.pseudo

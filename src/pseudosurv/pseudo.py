@@ -6,8 +6,8 @@ regression response.  This module computes them marginally (from time zero)
 and conditionally (per interval, on the interval's risk set), with an
 IPCW-weighted variant for covariate-dependent censoring.
 
-The leave-one-out survival estimates are computed by incremental risk-set
-adjustment (prefix/suffix products over the event times), not by n separate
+The leave-one-out survival estimates come from ``estimators`` (``_km_loo``
+and ``_ipcw_loo``), by incremental risk-set adjustment, not by n separate
 refits; the test suite checks them against a naive refit oracle in
 ``tests/oracles.py``.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, write_csv
 from .errors import DataError
-from .estimators import WeightFunction, _at_risk_weights, _event_table, _ipcw_sums
+from .estimators import WeightFunction, _ipcw_loo, _km_loo
 from .util import distinct, freeze, quantile
 
 
@@ -166,85 +166,6 @@ def make_grid(
     return TimeGrid(cuts)
 
 
-def _km_loo(times: np.ndarray, events: np.ndarray, horizon: float):
-    """Kaplan-Meier at ``horizon`` plus all leave-one-out values.
-
-    Returns (s_full, s_loo, exact_binary).  When no subject is censored at or
-    before the horizon the product-limit estimator telescopes to counting
-    survivors, the jackknife collapses to the survival indicator exactly, and
-    the flag is set so callers can emit exact 0/1 pseudo values.
-    """
-    m = times.size
-    if not np.any(~events & (times <= horizon)):
-        above = times > horizon
-        c = int(above.sum())
-        s_full = c / m
-        s_loo = (c - above) / (m - 1)
-        return s_full, s_loo, True
-
-    u, d, nrisk = _event_table(times, events)
-    mstar = int(np.searchsorted(u, horizon, side="right"))
-    p = 1.0 - d / nrisk
-    safe = nrisk > 1
-    q = np.where(safe, 1.0 - d / np.maximum(nrisk - 1, 1), 1.0)
-    e = np.where(safe, 1.0 - (d - 1) / np.maximum(nrisk - 1, 1), 1.0)
-
-    qprod = np.concatenate(([1.0], np.cumprod(q[:mstar])))
-    pprod_full = float(np.prod(p[:mstar]))
-    tail = np.ones(mstar + 1)
-    tail[:mstar] = np.cumprod(p[:mstar][::-1])[::-1]
-
-    a = np.searchsorted(u, times, side="right")  # event times <= T_i
-    b = np.minimum(a, mstar)
-    s_loo = qprod[b] * tail[b]
-    own_event = events & (a >= 1) & (a <= mstar)
-    ai = a[own_event]
-    s_loo[own_event] = qprod[ai - 1] * e[ai - 1] * tail[ai]
-    return pprod_full, s_loo, False
-
-
-def _ipcw_loo(times, events, u, weights, rows, time_offset):
-    """IPCW survival exp(-weighted hazard) at the horizon plus leave-one-out values.
-
-    ``u`` are the distinct event times at or before the horizon; subject k
-    takes weight row ``rows[k]``, evaluated at ``u + time_offset``.  Removing
-    a subject drops its weight from both the event sum and the at-risk sum of
-    every term; a term whose risk set empties contributes nothing.  A first
-    pass accumulates the sums, a second computes the weights again and each
-    subject's leave-one-out terms, both over the same blocks of about 1 MiB
-    of weights: memory O(n + len(u)) beyond one block.  Per weight the second
-    pass adds a subtraction, a division and the row sum.
-    """
-    A, B = _ipcw_sums(times, events, u, weights, rows, time_offset)
-    s_full = float(np.exp(-(A / B).sum()))
-    m, K = times.size, u.size
-    col = np.searchsorted(u, times, side="left")
-    own = events & (col < K)
-    # B[k] minus one at-risk weight can be 0 only at the event times after the
-    # second-largest time, where the risk set holds one subject: every weight is
-    # in [min(1, cap), cap], and with cap <= 2**50 no weight absorbs another in a
-    # sum.  Only the columns from ``safe`` on take the guarded divide.
-    safe = 0 if weights.cap > 2.0**50 else int(
-        np.searchsorted(u, np.partition(times, m - 2)[m - 2], side="right"))
-    s_loo = np.empty(m)
-    for sl, _, wb in _at_risk_weights(times, u, weights, rows, time_offset):
-        ev = np.flatnonzero(own[sl])
-        ev_col = col[sl][ev]
-        ev_w = wb[ev, ev_col]
-        # in place: the at-risk weights become the leave-one-out at-risk sums, then the terms
-        np.subtract(B, wb, out=wb)
-        ev_den = wb[ev, ev_col]
-        np.divide(A[:safe], wb[:, :safe], out=wb[:, :safe])
-        tail = wb[:, safe:]
-        pos = tail > 0
-        np.divide(A[safe:], tail, out=tail, where=pos)
-        np.copyto(tail, 0.0, where=~pos)
-        ok = ev_den > 0
-        wb[ev[ok], ev_col[ok]] = (A[ev_col[ok]] - ev_w[ok]) / ev_den[ok]
-        s_loo[sl] = np.exp(-wb.sum(axis=1))
-    return s_full, s_loo
-
-
 def _loo_pseudo(times, events, horizon, weights=None, rows=None, time_offset=0.0):
     """Pseudo values for one sample at one horizon; shared by all entry points.
 
@@ -255,14 +176,13 @@ def _loo_pseudo(times, events, horizon, weights=None, rows=None, time_offset=0.0
     m = times.size
     if weights is None:
         s_full, s_loo, exact = _km_loo(times, events, horizon)
-        if exact:
-            return (times > horizon).astype(float), s_full, s_loo
-        return m * s_full - (m - 1) * s_loo, s_full, s_loo
-    u = distinct(times[events])
-    u = u[u <= horizon]
-    if rows is None:
-        rows = np.arange(m)
-    s_full, s_loo = _ipcw_loo(times, events, u, weights, rows, time_offset)
+    else:
+        u = distinct(times[events])
+        rows = np.arange(m) if rows is None else rows
+        s_full, s_loo = _ipcw_loo(times, events, u[u <= horizon], weights, rows, time_offset)
+        exact = False
+    if exact:
+        return (times > horizon).astype(float), s_full, s_loo
     return m * s_full - (m - 1) * s_loo, s_full, s_loo
 
 

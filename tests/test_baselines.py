@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
@@ -12,6 +17,7 @@ from pseudosurv import (
     gen_cox,
     make_grid,
 )
+from pseudosurv import baselines
 
 
 class TestCoxPredictSurvival:
@@ -91,6 +97,22 @@ class TestGee:
         grid = make_grid(data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5])
         model = fit_gee(data, grid)
         assert model.beta[0] > 0.4
+
+    def test_bytes_independent_of_blas_threads(self):
+        """``fit_gee`` runs on one BLAS thread, so OpenBLAS's thread count moves no bit of a
+        p = 20 fit, whose least-squares steps a second BLAS thread would sum in another order."""
+        code = ("import pseudosurv as ps\n"
+                "data = ps.gen_friedman_aft(ps.FriedmanSpec(n=5000, seed=3))\n"
+                "grid = ps.make_grid(data, percentiles=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])\n"
+                "m = ps.fit_gee(data, grid)\n"
+                "print((m.time_intercepts.tobytes() + m.beta.tobytes()).hex())")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(baselines.__file__).parents[1])
+        fits = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True).stdout
+                for threads in ("1", "2")}
+        assert len(fits) == 1
 
     def test_non_convergence_error(self, monkeypatch):
         from pseudosurv import NumericError, baselines

@@ -13,6 +13,7 @@ from pseudosurv import (
     Dataset,
     PseudoTable,
     TimeGrid,
+    WeightFunction,
     censoring_weights,
     fit_cox,
     gen_cox,
@@ -185,16 +186,21 @@ class TestPseudoConditional:
         for _ in range(5):
             d = random_censored_dataset(rng, 100)
             grid = make_grid(d, percentiles=[0.25, 0.5])
+            # a censoring hazard rising at each censoring time, one relative risk per subject
+            cens = distinct(d.time[~d.event])
+            ipcw = WeightFunction(cens, np.arange(1, cens.size + 1) / len(d),
+                                  np.linspace(0.5, 2.0, len(d)))
             for j in range(grid.n_intervals):
                 start = grid.interval_start(j)
                 horizon = grid.interval_end(j) - start
                 at = d.time > start
                 res_t, res_e = d.time[at] - start, d.event[at]
-                values, s_full, s_loo = _loo_pseudo(res_t, res_e, horizon)
-                r = res_t.size
-                lhs = values.mean()
-                rhs = r * s_full - (r - 1) * np.mean(s_loo)
-                assert abs(lhs - rhs) <= 1e-12
+                for kw in ({}, dict(weights=ipcw, rows=np.flatnonzero(at), time_offset=start)):
+                    values, s_full, s_loo = _loo_pseudo(res_t, res_e, horizon, **kw)
+                    r = res_t.size
+                    lhs = values.mean()
+                    rhs = r * s_full - (r - 1) * np.mean(s_loo)
+                    assert abs(lhs - rhs) <= 1e-12
 
     def test_small_risk_set_rejected(self):
         # only one subject survives past 3, so the interval (3, 9] cannot be jackknifed
