@@ -253,7 +253,7 @@ def _scores(label: str, report) -> dict:
     }
 
 
-def _replicate(resolved: dict, rep: int) -> dict:
+def _replicate(shared: tuple[dict, list], rep: int) -> dict:
     """One row of a study: its data, the GEE coefficients (cox studies) and the test scores.
 
     Every draw derives from the study seed, a fixed label and ``rep``, so rows
@@ -262,10 +262,11 @@ def _replicate(resolved: dict, rep: int) -> dict:
     from .baselines import cox_predict_survival, fit_gee
     from .cox import censoring_weights, fit_cox
     from .metrics import evaluate_predictions
-    from .net import default_grid, fit_and_evaluate
+    from .net import fit_and_evaluate
     from .pseudo import make_grid
     from .sim import (CoxSimSpec, FriedmanSpec, gen_cox, gen_friedman_aft,
                       write_dataset_with_metadata)
+    resolved, configs = shared
     seed, study, n, rate = (resolved[key] for key in ("seed", "study", "n", "censoring_rate"))
     if study == "aft":
         spec = FriedmanSpec(n=n, censoring_rate=rate, seed=derived_seed(seed, "aft", rep))
@@ -291,7 +292,6 @@ def _replicate(resolved: dict, rep: int) -> dict:
         test_data = gen_cox(replace(spec, seed=derived_seed(seed, "cox-test", rep)))
         ipcw = censoring_weights(train_data, fit_cox(train_data, target="censoring"))
         runs = [("net", None, "net"), ("net_ipcw", ipcw, "net_ipcw")]
-    configs = default_grid(epochs=resolved["epochs"], batch_size=resolved["batch_size"])
     for label, weights, seed_label in runs:
         _, report = fit_and_evaluate(
             train_data, test_data, grid, configs, weights=weights, k=resolved["folds"],
@@ -318,10 +318,11 @@ def cmd_simulate(resolved: dict) -> None:
     reps = range(resolved["replicates"])
     # what a replicate runs, loaded before a pool forks so that its workers inherit it
     from . import baselines, net, sim  # noqa: F401
+    configs = net.default_grid(epochs=resolved["epochs"], batch_size=resolved["batch_size"])
     # several replicates take the workers and search serially, a lone one's search takes
     # them; rows derive their own randomness, so they match at any thread count
     shared = dict(resolved, threads=1) if len(reps) > 1 else resolved
-    rows = parallel_map(_replicate, shared, reps, resolved["threads"])
+    rows = parallel_map(_replicate, (shared, configs), reps, resolved["threads"])
 
     columns = list(rows[0].keys())
     values = {c: np.array([row[c] for row in rows]) for c in columns}

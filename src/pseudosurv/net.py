@@ -13,7 +13,6 @@ reproduce identical weights bit for bit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -93,16 +92,11 @@ class MlpConfig:
 
 
 def default_grid(epochs: int = 100, batch_size: int = 256) -> list[MlpConfig]:
-    """The full Cartesian search grid (2520 configurations), cached per (epochs, batch_size)."""
-    return list(_default_grid(epochs, batch_size))
-
-
-@functools.lru_cache(maxsize=4, typed=True)
-def _default_grid(epochs, batch_size) -> tuple[MlpConfig, ...]:
+    """The full Cartesian search grid (2520 configurations), a fresh list per call."""
     layouts = [(w,) for w in HIDDEN_WIDTHS]
     layouts += [(w1, w2) for w1 in HIDDEN_WIDTHS for w2 in HIDDEN_WIDTHS]
-    return tuple(MlpConfig(*values, epochs=epochs, batch_size=batch_size)
-                 for values in itertools.product(layouts, *GRID_VALUES.values()))
+    return [MlpConfig(*values, epochs=epochs, batch_size=batch_size)
+            for values in itertools.product(layouts, *GRID_VALUES.values())]
 
 
 @dataclass
