@@ -58,7 +58,7 @@ def _parse_floats(value) -> np.ndarray:
         numbers = np.array([float(part) for part in parts])
         if np.all(np.isfinite(numbers)):
             return numbers
-    except ValueError:
+    except (ValueError, OverflowError):  # an integer beyond float range overflows
         pass
     raise DataError(f"cannot parse number list {value!r} as finite numbers")
 
@@ -69,8 +69,9 @@ def _accepts(key: str, default, value) -> bool:
         return type(value) is type(default)
     if isinstance(default, int):
         return isinstance(value, int)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
+    if isinstance(default, float):  # float() overflows on an integer beyond its range
+        return (isinstance(value, float)
+                or isinstance(value, int) and abs(value) <= sys.float_info.max)
     if isinstance(value, list) and key in _LISTS:
         return all(isinstance(v, _LISTS[key]) and not isinstance(v, bool) for v in value)
     return isinstance(value, str) or value is None and default is None
@@ -114,6 +115,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             resolved[key] = value
+    # a float option, or a number in a config file's list, is finite (strict JSON stores it)
+    for key, value in resolved.items():
+        numbers = value if isinstance(value, list) else [value]
+        if not np.isfinite([v for v in numbers if isinstance(v, float)]).all():
+            raise DataError(f"{key} must be finite, not {value}")
     for key in ("model", "predictions"):
         if resolved.get(key) == "":
             raise DataError(f"--{key} is empty")
@@ -231,7 +237,10 @@ def cmd_evaluate(resolved: dict) -> None:
         raise DataError("--times applies only with --model")
     else:
         pred, times = load_predictions(resolved["predictions"], len(data))
-    report = evaluate_predictions(data, pred, times)
+    with np.errstate(over="ignore"):  # a score that overflows is refused below
+        report = evaluate_predictions(data, pred, times)
+    if not np.isfinite(report.brier).all():
+        raise NumericError("a Brier score overflows: predictions lie far outside [0, 1]")
     out = Path(resolved["output"])
     report.to_csv(out)
     report.to_json(out.with_suffix(out.suffix + ".json"))

@@ -81,8 +81,9 @@ def _csv_reader(path):
         raise DataError(f"{path}: {reason}") from None
 
 
-def _parse_cells(raw, row: int, names) -> list[float]:
-    """One row's cells as floats; the first missing or invalid cell raises."""
+def _parse_cells(raw, row: int, names, finite: bool = False) -> list[float]:
+    """One row's cells as floats; the first missing, invalid or (with ``finite``) infinite
+    cell raises."""
     values = []
     for text, column in zip(raw, names):
         if text.strip().lower() in _MISSING_TOKENS:
@@ -91,15 +92,18 @@ def _parse_cells(raw, row: int, names) -> list[float]:
             values.append(float(text))
         except ValueError:
             raise DataError(f"invalid number {text!r} at row {row}, column '{column}'") from None
+        if finite and not np.isfinite(values[-1]):
+            raise DataError(f"non-finite number {text!r} at row {row}, column '{column}'")
     return values
 
 
 def _read_rows(reader, width: int, parse_row, block_ok) -> np.ndarray:
     """The remaining rows of a ``csv.reader`` as one float matrix, a chunk per ``float`` pass.
 
-    A chunk with an empty or ragged row, a cell ``float`` rejects, a NaN (a missing token) or
-    a block failing ``block_ok(block, chunk)`` goes row by row through ``parse_row(raw, lineno)``,
-    which raises the row's error or returns its values (None drops the row).
+    A chunk with an empty or ragged row, a cell ``float`` rejects, a value that is not finite
+    (NaN is a missing token) or a block failing ``block_ok(block, chunk)`` goes row by row
+    through ``parse_row(raw, lineno)``, which raises the row's error or returns its values
+    (None drops the row).
     """
     size = max(1, _CHUNK_CELLS // width)
     blocks, lineno = [], 1
@@ -107,7 +111,7 @@ def _read_rows(reader, width: int, parse_row, block_ok) -> np.ndarray:
         try:
             cells = map(float, itertools.chain.from_iterable(chunk))
             block = np.fromiter(cells, float, len(chunk) * width).reshape(len(chunk), width)
-            ok = set(map(len, chunk)) == {width} and not np.isnan(block).any()
+            ok = set(map(len, chunk)) == {width} and np.isfinite(block).all()
         except ValueError:
             ok = False
         if not (ok and block_ok(block, chunk)):
@@ -197,7 +201,9 @@ def load_predictions(path, n_expected: int):
         if not header or header[0] != "id":
             raise DataError("predictions header must start with 'id'")
         try:
-            times = [float(name) for name in header[1:]]
+            times = np.array([float(name) for name in header[1:]])
+            if not np.isfinite(times).all():
+                raise ValueError
         except ValueError:
             raise DataError("prediction columns after 'id' must be named by their times") from None
         seen = np.zeros(n_expected, dtype=bool)
@@ -218,7 +224,7 @@ def load_predictions(path, n_expected: int):
             if seen[sid]:
                 raise DataError(f"predictions row {lineno}: duplicate id {sid}")
             seen[sid] = True
-            return [sid] + _parse_cells(raw[1:], lineno, header[1:])
+            return [sid] + _parse_cells(raw[1:], lineno, header[1:], finite=True)
 
         def block_ok(block, chunk):
             try:
@@ -234,7 +240,7 @@ def load_predictions(path, n_expected: int):
         values = _read_rows(reader, len(header), parse_row, block_ok)
     if len(values) != n_expected:
         raise DataError(f"predictions have {len(values)} rows, data has {n_expected}")
-    return values[np.argsort(values[:, 0]), 1:], np.asarray(times, dtype=float)
+    return values[np.argsort(values[:, 0]), 1:], times
 
 
 def split_dataset(data: Dataset, fraction: float = 0.75, seed: int = 0) -> tuple[Dataset, Dataset]:

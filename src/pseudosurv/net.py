@@ -352,13 +352,16 @@ def predict_conditional_matrix(model: MlpModel, covariates) -> np.ndarray:
     if z.shape[1] != model.p:
         raise DataError(f"expected {model.p} covariates, got {z.shape[1]}")
     n, p, J = z.shape[0], model.p, model.n_intervals
-    # standardized covariates, then the one-hot of the interval being predicted
-    X = np.hstack([(z - model.covariate_mean) / model.covariate_std, np.zeros((n, J))])
     out = np.empty((n, J))
-    for j in range(J):
-        X[:, p:] = 0.0
-        X[:, p + j] = 1.0
-        out[:, j] = _forward(model.weights, model.biases, model.config.activation, X)
+    with np.errstate(all="ignore"):  # an output that is not finite is refused below
+        # standardized covariates, then the one-hot of the interval being predicted
+        X = np.hstack([(z - model.covariate_mean) / model.covariate_std, np.zeros((n, J))])
+        for j in range(J):
+            X[:, p:] = 0.0
+            X[:, p + j] = 1.0
+            out[:, j] = _forward(model.weights, model.biases, model.config.activation, X)
+    if not np.isfinite(out).all():
+        raise NumericError("the network's output is not finite: a layer overflows")
     return out
 
 
@@ -532,15 +535,22 @@ def load_model(path) -> MlpModel:
         )
     except KeyError as exc:
         raise DataError(f"{path}: model file has no {exc.args[0]!r}") from None
-    except (DataError, TypeError, ValueError) as exc:
+    except (DataError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from None
     # the input layer takes the covariates and the one-hot of the interval
     p, hidden = model.p, list(model.config.hidden_layers)
     sizes = [p + model.n_intervals, *hidden, 1]
     if ([w.shape for w in model.weights] != list(zip(sizes, sizes[1:]))
             or [b.shape for b in model.biases] != [(size,) for size in sizes[1:]]
-            or model.covariate_std.shape != (p,)
+            or {model.covariate_mean.shape, model.covariate_std.shape} != {(p,)}
             or model.covariate_names is not None and len(model.covariate_names) != p):
         raise DataError(f"{path}: model arrays do not fit {p} covariates, "
                         f"{model.n_intervals} intervals and hidden layers {hidden}")
+    arrays = {"covariate_mean": [model.covariate_mean], "covariate_std": [model.covariate_std],
+              "weights": model.weights, "biases": model.biases}
+    for name, values in arrays.items():
+        if not all(np.isfinite(a).all() for a in values):
+            raise DataError(f"{path}: malformed model file: {name} must be finite")
+    if not (model.covariate_std > 0).all():
+        raise DataError(f"{path}: malformed model file: covariate_std must be positive")
     return model

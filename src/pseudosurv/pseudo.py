@@ -40,8 +40,8 @@ class TimeGrid:
         cuts = np.asarray(self.cutpoints, dtype=float)
         if cuts.ndim != 1 or cuts.size == 0:
             raise DataError("grid needs at least one cutpoint")
-        if not np.all(cuts > 0):
-            raise DataError("grid cutpoints must be positive")
+        if not np.all((cuts > 0) & (cuts < np.inf)):
+            raise DataError("grid cutpoints must be positive and finite")
         if not np.all(np.diff(cuts) > 0):
             raise DataError("grid cutpoints must be strictly increasing")
         freeze(self, cutpoints=cuts)

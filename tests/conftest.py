@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,12 @@ def uncensored_dataset(rng, n, p=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def strict_json():
+    """A parser of one JSON file as RFC 8259 reads it: NaN, Infinity and -Infinity raise."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+    return lambda path: json.loads(Path(path).read_text(), parse_constant=refuse)

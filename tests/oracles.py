@@ -286,14 +286,17 @@ def fmt6(x) -> str:
     return format(x, ".6g")
 
 
-def _parse_cell(text: str, row: int, column: str) -> float:
+def _parse_cell(text: str, row: int, column: str, finite: bool = False) -> float:
     stripped = text.strip()
     if stripped.lower() in _MISSING_TOKENS:
         raise DataError(f"missing value at row {row}, column '{column}'")
     try:
-        return float(stripped)
+        value = float(stripped)
     except ValueError:
         raise DataError(f"invalid number {text!r} at row {row}, column '{column}'") from None
+    if finite and not np.isfinite(value):
+        raise DataError(f"non-finite number {text!r} at row {row}, column '{column}'")
+    return value
 
 
 def load_dataset(path, drop_incomplete: bool = False) -> Dataset:
@@ -372,6 +375,8 @@ def load_predictions(path, n_expected: int):
             raise DataError("predictions header must start with 'id'")
         try:
             times = [float(name) for name in header[1:]]
+            if not np.all(np.isfinite(times)):
+                raise ValueError
         except ValueError:
             raise DataError("prediction columns after 'id' must be named by their times") from None
         rows, row_of = [], np.full(n_expected, -1)
@@ -393,7 +398,8 @@ def load_predictions(path, n_expected: int):
             if row_of[sid] >= 0:
                 raise DataError(f"predictions row {lineno}: duplicate id {sid}")
             row_of[sid] = len(rows)
-            rows.append([_parse_cell(c, lineno, name) for c, name in zip(raw[1:], header[1:])])
+            rows.append([_parse_cell(c, lineno, name, finite=True)
+                         for c, name in zip(raw[1:], header[1:])])
     if len(rows) != n_expected:
         raise DataError(f"predictions have {len(rows)} rows, data has {n_expected}")
     return np.asarray(rows, dtype=float)[row_of], np.asarray(times, dtype=float)

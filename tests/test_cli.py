@@ -23,7 +23,6 @@ def write_csv(path, rows):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
-
 @pytest.fixture
 def toy_csv(tmp_path):
     # three subjects shaped like the worked example table: subject 0 leaves
@@ -893,6 +892,35 @@ def test_config_replay_is_byte_identical(tmp_path, replay_inputs, command):
         assert _tree(out) == first, name
 
 
+def test_every_json_file_written_is_strict(tmp_path, replay_inputs, strict_json):
+    """Reports, metadata, models and configs parse as RFC 8259 JSON: no NaN or Infinity."""
+    write_csv(tmp_path / "pred.csv", [["id", "0.5", "1"]]
+              + [[str(i), "0.5", f"{i / 200:.6g}"] for i in range(200)])
+    data, out = str(replay_inputs / "data.csv"), str(tmp_path / "out")
+    runs = [
+        ["transform", "--input", data, "--output", f"{out}/pseudo.csv"],
+        ["transform", "--input", data, "--output", f"{out}/pseudo_ipcw.csv", "--ipcw"],
+        ["train", "--input", data, "--model-out", f"{out}/model.json", "--budget", "1",
+         "--folds", "2", "--epochs", "3", "--threads", "1"],
+        ["predict", "--model", f"{out}/model.json", "--input", data, "--output", f"{out}/p.csv"],
+        ["evaluate", "--model", f"{out}/model.json", "--input", data,
+         "--output", f"{out}/by_model.csv"],
+        ["evaluate", "--predictions", str(tmp_path / "pred.csv"), "--input", data,
+         "--output", f"{out}/by_predictions.csv"],
+        ["simulate", *REPLAYS["simulate"][:-2], "--out", f"{out}/study", "--threads", "1"],
+        ["split", "--input", data, "--train-out", f"{out}/train.csv",
+         "--test-out", f"{out}/test.csv"],
+    ]
+    (tmp_path / "out").mkdir()
+    for argv in runs:
+        assert main(argv) == 0, argv
+    written = sorted((tmp_path / "out").rglob("*.json"))
+    # a config.json per run, a .meta.json per transform, the model and a report per evaluate
+    assert len(written) == len(runs) + 2 + 1 + 2
+    for path in written:
+        strict_json(path)
+
+
 # config file contents that exit 2 naming the file: (command, contents, message)
 BAD_CONFIGS = {
     "not an object": ("train", [1], "a config file must be a JSON object"),
@@ -908,6 +936,8 @@ BAD_CONFIGS = {
     "path of another command": ("transform", {"model": "m.json"}, "unknown key 'model'"),
     "threads where none run": ("transform", {"threads": 2}, "unknown key 'threads'"),
     "number seed": ("split", {"seed": 1.5}, "seed cannot be 1.5"),
+    "integer beyond float range": ("transform", {"weight_cap": 10**400},
+                                   "weight_cap cannot be 1000"),
     "another command": ("transform", {"command": "train"},
                         "config file is for command 'train', not 'transform'"),
 }
@@ -943,6 +973,18 @@ BAD_MODELS = {
                           "model arrays do not fit 1 covariates, 2 intervals"),
     "layers do not chain": ({"weights": _model()["weights"][1:]}, "model arrays do not fit"),
     "too many names": ({"covariate_names": ["z_1", "z_2"]}, "model arrays do not fit"),
+    "infinite weight": ({"weights": [[[float("inf")] + row[1:] for row in _model()["weights"][0]],
+                                     *_model()["weights"][1:]]},
+                        "malformed model file: weights must be finite"),
+    "nan covariate mean": ({"covariate_mean": [float("nan")]},
+                           "malformed model file: covariate_mean must be finite"),
+    "zero covariate std": ({"covariate_std": [0.0]},
+                           "malformed model file: covariate_std must be positive"),
+    "infinite cutpoint": ({"cutpoints": [1.5, 2.5, float("inf")]},
+                          "malformed model file: grid cutpoints must be positive and finite"),
+    "covariate mean nested": ({"covariate_mean": [[0.0]]}, "model arrays do not fit"),
+    "infinite hidden width": ({"config": {**_model()["config"], "hidden_layers": [float("inf")]}},
+                              "malformed model file"),
 }
 
 
@@ -956,9 +998,11 @@ def test_hand_written_model_predicts(tmp_path):
 
 # arguments, with {d} for a directory holding data.csv (5 subjects), early.csv (12 subjects,
 # the two events first), header.csv (no rows), an empty directory dir, malformed models,
-# prediction files pred.csv, noid.csv (no id column), abc.csv (a column not named by a time)
-# and short.csv (4 rows), and a config file threads.json with a negative thread count, and
-# the text the error must hold
+# prediction files pred.csv, noid.csv (no id column), abc.csv (a column not named by a time),
+# short.csv (4 rows), inf.csv (first cell inf) and infcol.csv (a column named inf), and config
+# files threads.json (a negative thread count), infcap.json (an infinite weight cap),
+# inflist.json (an infinite grid percentile beside grid times) and hugelist.json (a grid time
+# beyond float range), and the text the error must hold
 HOSTILE = {
     "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
                                     "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
@@ -987,14 +1031,35 @@ HOSTILE = {
            ("without id", "noid", "predictions header must start with 'id'"),
            ("column not a time", "abc",
             "prediction columns after 'id' must be named by their times"),
-           ("short a row", "short", "predictions have 4 rows, data has 5")]},
+           ("short a row", "short", "predictions have 4 rows, data has 5"),
+           ("with an infinite cell", "inf", "non-finite number 'inf' at row 1, column '2.5'"),
+           ("column at time inf", "infcol",
+            "prediction columns after 'id' must be named by their times")]},
     "nan grid time": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                        "--grid-times", "nan"], "cannot parse number list 'nan'"),
     "nan grid percentile": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                              "--grid-percentiles", "0.2,nan"],
                             "cannot parse number list '0.2,nan'"),
     "nan weight cap": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv", "--ipcw",
-                        "--weight-cap", "nan"], "weight cap must exceed 1"),
+                        "--weight-cap", "nan"], "weight_cap must be finite, not nan"),
+    "infinite weight cap": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
+                             "--ipcw", "--weight-cap", "1e400"],
+                            "weight_cap must be finite, not inf"),
+    "infinite weight cap without ipcw": (["transform", "--input", "{d}/data.csv", "--output",
+                                          "{d}/o.csv", "--weight-cap", "inf"],
+                                         "weight_cap must be finite, not inf"),
+    "infinite weight cap in config": (["train", "--config", "{d}/infcap.json", "--input",
+                                       "{d}/data.csv", "--model-out", "{d}/m.json"],
+                                      "weight_cap must be finite, not inf"),
+    "infinite fraction": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
+                           "--test-out", "{d}/te.csv", "--fraction=-inf"],
+                          "fraction must be finite, not -inf"),
+    "infinite unused grid percentile": (["transform", "--config", "{d}/inflist.json", "--input",
+                                         "{d}/data.csv", "--output", "{d}/o.csv"],
+                                        "grid_percentiles must be finite, not [inf]"),
+    "grid time beyond float range": (["transform", "--config", "{d}/hugelist.json", "--input",
+                                      "{d}/data.csv", "--output", "{d}/o.csv"],
+                                     "cannot parse number list [1000"),
     "fold without comparable pair": (["train", "--input", "{d}/early.csv", "--model-out",
                                       "{d}/m.json", "--grid-times", "1.5,2.5", "--folds", "3"],
                                      "CV fold 2 has no comparable pair"),
@@ -1027,7 +1092,7 @@ HOSTILE = {
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
-def test_hostile_invocation_exits_2(tmp_path, capsys, case):
+def test_hostile_invocation_exits_2(tmp_path, capsys, strict_json, case):
     args, message = HOSTILE[case]
     (tmp_path / "dir").mkdir()
     write_csv(tmp_path / "data.csv", [["time", "event", "z_1"], ["1", "1", "0.5"], ["2", "0", "-1"],
@@ -1039,19 +1104,30 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     write_csv(tmp_path / "noid.csv", [["subject", "2.5"]] + [[str(i), "0.5"] for i in range(5)])
     write_csv(tmp_path / "abc.csv", [["id", "abc"]] + [[str(i), "0.5"] for i in range(5)])
     write_csv(tmp_path / "short.csv", [["id", "2.5"]] + [[str(i), "0.5"] for i in range(4)])
+    write_csv(tmp_path / "inf.csv", [["id", "2.5"], ["0", "inf"]]
+              + [[str(i), "0.5"] for i in range(1, 5)])
+    write_csv(tmp_path / "infcol.csv", [["id", "inf"]] + [[str(i), "0.5"] for i in range(5)])
+    (tmp_path / "infcap.json").write_text('{"weight_cap": Infinity}')
+    (tmp_path / "inflist.json").write_text('{"grid_percentiles": [1e400], "grid_times": "2.5"}')
+    (tmp_path / "hugelist.json").write_text('{"grid_times": [1%s]}' % ("0" * 400))
     for case, (fields, _) in BAD_MODELS.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
     write_csv(tmp_path / "header.csv", [["time", "event", "z_1"]])
     write_csv(tmp_path / "early.csv", [["time", "event", "z_1"]]
               + [[str(t), str(int(t <= 2)), f"{t % 3}"] for t in range(1, 13)])
+    inputs = set(tmp_path.rglob("*"))
     assert main([arg.format(d=tmp_path) for arg in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(d=tmp_path) in err
     assert "Traceback" not in err
+    for path in set(tmp_path.rglob("*.json")) - inputs:
+        strict_json(path)
 
 
 # arguments, with {d} for a directory that holds huge.csv and huge10.csv (6 and 10 subjects,
-# covariates of +-1e308), whose run fails numerically, and the text the error must hold
+# covariates of +-1e308), data.csv (5 subjects), its predictions big.csv (one of 1e308) and
+# overflow.json (a model whose first layer overflows to inf, its second to inf - inf), whose
+# run fails numerically, and the text the error must hold
 NUMERIC_HOSTILE = {
     "gee diverges on 3 subjects": (["simulate", "--study", "cox-dependent", "--replicates", "1",
                                     "--n", "3", "--seed", "0", "--threads", "1",
@@ -1065,6 +1141,14 @@ NUMERIC_HOSTILE = {
                                               "{d}/m.json", "--budget", "1", "--folds", "2",
                                               "--epochs", "1", "--threads", "1"],
                                              "covariates z overflow their mean or standard"),
+    "brier overflows on a prediction of 1e308": (["evaluate", "--input", "{d}/data.csv",
+                                                  "--predictions", "{d}/big.csv",
+                                                  "--output", "{d}/r.csv"],
+                                                 "a Brier score overflows: predictions lie far"),
+    **{f"{command} on a model whose layers overflow": (
+        [command, "--model", "{d}/overflow.json", "--input", "{d}/data.csv",
+         "--output", "{d}/out.csv"], "the network's output is not finite: a layer overflows")
+       for command in ("predict", "evaluate")},
 }
 
 
@@ -1075,6 +1159,15 @@ def test_hostile_invocation_exits_3(tmp_path, capsys, case):
               + [[str(t), str(t % 2), f"{(-1) ** t}e308"] for t in range(1, 7)])
     write_csv(tmp_path / "huge10.csv", [["time", "event", "z"]]
               + [[str(t), e, f"{(-1) ** (t + 1)}e308"] for t, e in enumerate("1011011011", 1)])
+    write_csv(tmp_path / "data.csv", [["time", "event", "z"]]
+              + [[str(t), e, "1"] for t, e in enumerate("10110", 1)])
+    write_csv(tmp_path / "big.csv", [["id", "2.5"], ["0", "1e308"]]
+              + [[str(i), "0.5"] for i in range(1, 5)])
+    first, second = _model()["weights"]
+    overflow = _model(weights=[np.full_like(first, 1e308).tolist(),
+                               [[(-1.0) ** k] for k in range(len(second))]],
+                      covariate_names=["z"])
+    (tmp_path / "overflow.json").write_text(json.dumps(overflow))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([arg.format(d=tmp_path) for arg in args]) == 3

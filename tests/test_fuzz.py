@@ -1,0 +1,143 @@
+"""Hostile prediction, model and config files, run in-process through ``cli.main``.
+
+Hypothesis draws the files; the search is derandomized, so every run tries
+the same cases.  Whatever a file holds, the run exits 0, 2 or 3, prints
+only ``error:``, ``numeric failure:`` or ``warning:`` lines and no traceback,
+lets no RuntimeWarning escape and writes only strict JSON.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pseudosurv.cli import main
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+N = 10  # subjects in data.csv
+# what one prediction cell or one float option may hold: finite, signed zero, tiny and huge
+# numbers, non-finite, missing and text
+CELLS = ["0", "-0", "1e-300", "1e308", "inf", "-inf", "nan", "", "abc", "0.5", "1.5", "-1"]
+VALID = ["0", "-0", "1e-300", "1e308", "0.5", "1.5", "-1"]
+JSON_CELLS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "": '""', "abc": '"abc"'}
+STDERR_PREFIXES = ("error: ", "numeric failure: ", "warning: ")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """data.csv (10 subjects, one covariate) and model.json, a network trained on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    with open(root / "data.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["time", "event", "z"]]
+                                 + [[t, int(t % 3 != 0), t % 4 - 1.5] for t in range(1, N + 1)])
+    assert main(["train", "--input", str(root / "data.csv"), "--model-out",
+                 str(root / "model.json"), "--grid-times", "2.5,5,7.5", "--budget", "1",
+                 "--folds", "2", "--epochs", "2", "--threads", "1"]) == 0
+    return root
+
+
+def _run(root: Path, files: dict, argv: list, strict_json) -> int:
+    """Write ``files`` into a fresh directory, run ``argv`` there ({d} is the directory) and
+    check the contract; the exit code."""
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        d = Path(tmp)
+        for name, text in files.items():
+            (d / name).write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([arg.format(d=d, root=root) for arg in argv])
+        assert code in (0, 2, 3)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith(STDERR_PREFIXES) for line in lines), lines
+        assert "Traceback" not in err.getvalue()
+        for path in d.rglob("*.json"):
+            if path.name not in files:
+                strict_json(path)
+        return code
+
+
+@st.composite
+def prediction_files(draw):
+    """1-30 rows: ids permuted, then perhaps duplicated, dropped or out of range; valid cells
+    with a few drawn from CELLS."""
+    ids = [str(i) for i in draw(st.permutations(range(N)))]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["duplicate", "drop", "out of range", "text"]))
+        k = draw(st.integers(0, len(ids) - 1))
+        if edit == "duplicate":
+            ids.insert(draw(st.integers(0, len(ids))), ids[k])
+        elif edit == "drop" and len(ids) > 1:
+            del ids[k]
+        elif edit != "drop":
+            ids[k] = draw(st.sampled_from(["-1", str(N), "99", "1.0", "x", ""]))
+    ids = (ids * 3)[:draw(st.integers(1, 30))] if draw(st.booleans()) else ids
+    times = draw(st.sampled_from([["2.5"], ["2.5", "5"], ["1", "4.5", "8"]]))
+    rows = [[sid] + [draw(st.sampled_from(VALID)) for _ in times] for sid in ids]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(1, len(times)))] = draw(st.sampled_from(CELLS))
+    return "\n".join(",".join(row) for row in [["id", *times], *rows]) + "\n"
+
+
+@SETTINGS
+@given(text=prediction_files())
+def test_prediction_files(inputs, strict_json, text):
+    _run(inputs, {"pred.csv": text}, ["evaluate", "--input", "{root}/data.csv",
+                                      "--predictions", "{d}/pred.csv", "--output", "{d}/r.csv"],
+         strict_json)
+
+
+def _replace(draw, value):
+    """``value`` with one item replaced at some depth, or replaced whole, by a non-finite
+    number, a string, a list or a number."""
+    if isinstance(value, dict) and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value)))
+        return {**value, key: _replace(draw, value[key])}
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_replace(draw, value[i])] + value[i + 1:]
+    return draw(st.sampled_from([float("inf"), float("-inf"), float("nan"), "abc", "", [],
+                                 [1.0, 2.0], [[0.5]], None, 0.0, -1.0, 0.5, 1e308]))
+
+
+@SETTINGS
+@given(data=st.data(), command=st.sampled_from(["predict", "evaluate"]))
+def test_model_files(inputs, strict_json, data, command):
+    payload = json.loads((inputs / "model.json").read_text())
+    field = data.draw(st.sampled_from(sorted(payload)))
+    payload[field] = _replace(data.draw, payload[field])
+    out = ["--output", "{d}/p.csv" if command == "predict" else "{d}/r.csv"]
+    _run(inputs, {"model.json": json.dumps(payload)},
+         [command, "--model", "{d}/model.json", "--input", "{root}/data.csv", *out], strict_json)
+
+
+# a command that takes a float option, the option and the command's other arguments
+FLOAT_OPTIONS = [
+    ("transform", "weight_cap", ["--input", "{root}/data.csv", "--output", "{d}/o.csv"]),
+    ("transform", "weight_cap", ["--input", "{root}/data.csv", "--output", "{d}/o.csv",
+                                 "--ipcw"]),
+    ("split", "fraction", ["--input", "{root}/data.csv", "--train-out", "{d}/a.csv",
+                           "--test-out", "{d}/b.csv"]),
+    ("simulate", "censoring_rate", ["--study", "cox-dependent", "--replicates", "1", "--n", "40",
+                                    "--threads", "1", "--out", "{d}/study"]),
+]
+
+
+@SETTINGS
+@given(case=st.sampled_from(FLOAT_OPTIONS), cell=st.sampled_from(CELLS + ["1e400"]))
+def test_float_options_in_config_files(inputs, strict_json, case, cell):
+    command, key, argv = case
+    config = f'{{"{key}": {JSON_CELLS.get(cell, cell)}}}'
+    code = _run(inputs, {"c.json": config}, [command, "--config", "{d}/c.json", *argv],
+                strict_json)
+    assert code == 2 or cell in VALID
