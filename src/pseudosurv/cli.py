@@ -115,11 +115,14 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             resolved[key] = value
-    # a float option, or a number in a config file's list, is finite (strict JSON stores it)
+    # a float option, or a number in a config file's list, is finite (strict JSON stores it),
+    # and an integer option fits a C ssize_t, as lengths and indices must
     for key, value in resolved.items():
         numbers = value if isinstance(value, list) else [value]
         if not np.isfinite([v for v in numbers if isinstance(v, float)]).all():
             raise DataError(f"{key} must be finite, not {value}")
+        if type(options.get(key)) is int and abs(value) > sys.maxsize:
+            raise DataError(f"{key} must be at most {sys.maxsize} in magnitude, not {value}")
     for key in ("model", "predictions"):
         if resolved.get(key) == "":
             raise DataError(f"--{key} is empty")
@@ -204,10 +207,10 @@ def _model_covariates(model, data: Dataset) -> np.ndarray:
     if names is None:
         return data.covariates
     missing = [name for name in names if name not in given]
-    extra = [name for name in given if name not in names or given.count(name) > 1]
+    extra = [name for name in given if name not in names]
     if missing or extra:
         raise DataError(f"covariates do not match the model: missing {missing}, extra {extra}")
-    return data.covariates[:, [given.index(name) for name in names]]
+    return data.columns(names)
 
 
 def cmd_predict(resolved: dict) -> None:

@@ -45,18 +45,6 @@ class CoxModel:
         return (np.asarray(covariates, dtype=float) - self.covariate_means) @ self.beta
 
 
-def _select_columns(data: Dataset, covariates: Sequence[str] | None):
-    if covariates is None:
-        return data.covariates, tuple(data.covariate_names)
-    names = tuple(covariates)
-    cols = []
-    for name in names:
-        if name not in data.covariate_names:
-            raise DataError(f"unknown covariate {name!r}")
-        cols.append(data.covariate_names.index(name))
-    return data.covariates[:, cols], names
-
-
 def _partial_loglik(ev, X, first, d, beta):
     """Breslow partial log-likelihood with gradient and Hessian.
 
@@ -119,7 +107,8 @@ def fit_cox(data: Dataset, target: str = "event",
     """
     if target not in ("event", "censoring"):
         raise DataError("target must be 'event' or 'censoring'")
-    X_raw, names = _select_columns(data, covariates)
+    names = data.covariate_names if covariates is None else tuple(covariates)
+    X_raw = data.covariates if covariates is None else data.columns(names)
     ev = data.event if target == "event" else ~data.event
     if not ev.any():
         raise DataError("no target events")
@@ -181,8 +170,7 @@ def censoring_weights(data: Dataset, model: CoxModel, cap: float = 20.0) -> Weig
         raise DataError("weight cap must exceed 1")
     if model.target != "censoring":
         raise DataError("model must be fit with target='censoring'")
-    Z, _ = _select_columns(data, model.covariate_names)
-    risk = np.exp(model.linear_predictor(Z))
+    risk = np.exp(model.linear_predictor(data.columns(model.covariate_names)))
     # exp overflows above a linear predictor of 709.78; the largest float stands in for inf
     risk = np.minimum(risk, np.finfo(float).max)
     base = model.baseline_cumhaz

@@ -53,6 +53,9 @@ class Dataset:
             raise DataError("times must be finite and nonnegative")
         if not np.all(np.isfinite(cov)):
             raise DataError("covariates must be finite")
+        for k, name in enumerate(self.covariate_names):
+            if name in self.covariate_names[:k]:
+                raise DataError(f"covariate {name!r} is named twice")
         freeze(self, time=time, event=event, covariates=cov,
                covariate_names=tuple(self.covariate_names))
 
@@ -62,6 +65,15 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.covariates.shape[1]
+
+    def columns(self, names) -> np.ndarray:
+        """The covariate columns named ``names``, in that order; each name picks one column."""
+        for k, name in enumerate(names := tuple(names)):
+            if name not in self.covariate_names:
+                raise DataError(f"unknown covariate {name!r}")
+            if name in names[:k]:
+                raise DataError(f"covariate {name!r} is named twice")
+        return self.covariates[:, [self.covariate_names.index(name) for name in names]]
 
     def subset(self, indices) -> "Dataset":
         """New dataset from a boolean mask or index array (re-indexed ids)."""
@@ -140,7 +152,7 @@ def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad bytes, bad JSON, an integer of over 4 300 digits
         raise DataError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
 
 

@@ -518,8 +518,8 @@ def load_model(path) -> MlpModel:
     if not isinstance(payload, dict):
         raise DataError(f"{path}: a model file must be a JSON object")
     version = payload.get("format_version")
-    if version not in (1, 2):
-        raise DataError(f"unsupported model format version: {version!r}")
+    if type(version) is not int or version not in (1, 2):  # true and 1.0 equal 1
+        raise DataError(f"{path}: unsupported model format version: {version!r}")
     names = payload.get("covariate_names")
     try:
         model = MlpModel(

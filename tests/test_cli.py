@@ -331,13 +331,18 @@ class TestCovariateOrder:
         "names, named",
         [
             (("age", "dosage", "score"), ["'dose'", "'dosage'"]),
-            (("age", "score", "score"), ["'dose'", "'score'"]),
+            (("age", "score", "score"), ["'score'"]),
         ],
     )
     def test_mismatched_columns_exit_2(self, tmp_path, trained, capsys, names, named):
         data, _, model = trained
-        renamed = Dataset(data.time, data.event, data.covariates, names)
-        codes, _ = self._run(tmp_path, model, renamed, "renamed")
+        # written by hand, since a Dataset refuses a repeated name
+        src = tmp_path / "renamed.csv"
+        write_csv(src, [["time", "event", *names],
+                        *np.c_[data.time, data.event, data.covariates].tolist()])
+        codes = tuple(main([command, "--model", str(model), "--input", str(src),
+                            "--output", str(tmp_path / f"{command}.csv")])
+                      for command in ("predict", "evaluate"))
         assert codes == (2, 2)
         err = capsys.readouterr().err
         assert all(name in err for name in named)
@@ -985,6 +990,8 @@ BAD_MODELS = {
     "covariate mean nested": ({"covariate_mean": [[0.0]]}, "model arrays do not fit"),
     "infinite hidden width": ({"config": {**_model()["config"], "hidden_layers": [float("inf")]}},
                               "malformed model file"),
+    "format version true": ({"format_version": True}, "unsupported model format version: True"),
+    "format version 1.0": ({"format_version": 1.0}, "unsupported model format version: 1.0"),
 }
 
 
@@ -999,10 +1006,12 @@ def test_hand_written_model_predicts(tmp_path):
 # arguments, with {d} for a directory holding data.csv (5 subjects), early.csv (12 subjects,
 # the two events first), header.csv (no rows), an empty directory dir, malformed models,
 # prediction files pred.csv, noid.csv (no id column), abc.csv (a column not named by a time),
-# short.csv (4 rows), inf.csv (first cell inf) and infcol.csv (a column named inf), and config
+# short.csv (4 rows), inf.csv (first cell inf) and infcol.csv (a column named inf), twice.csv
+# (data.csv with z_1 twice in its header), twice.json (a model naming z_1 twice), and config
 # files threads.json (a negative thread count), infcap.json (an infinite weight cap),
-# inflist.json (an infinite grid percentile beside grid times) and hugelist.json (a grid time
-# beyond float range), and the text the error must hold
+# inflist.json (an infinite grid percentile beside grid times), hugelist.json (a grid time
+# beyond float range), bigint.json (replicates beyond a C ssize_t) and digits.json (a budget
+# of 5 000 digits), and the text the error must hold
 HOSTILE = {
     "transform output directory": (["transform", "--input", "{d}/data.csv", "--output", "{d}/dir",
                                     "--grid-times", "2.5"], "Is a directory: '{d}/dir'"),
@@ -1018,8 +1027,28 @@ HOSTILE = {
     "unknown censoring covariate": (["transform", "--input", "{d}/data.csv", "--output",
                                      "{d}/o.csv", "--ipcw", "--censor-covariates", "nope"],
                                     "unknown covariate 'nope'"),
+    "censoring covariate named twice": (["transform", "--input", "{d}/data.csv", "--output",
+                                         "{d}/o.csv", "--ipcw", "--censor-covariates", "z_1,z_1"],
+                                        "covariate 'z_1' is named twice"),
+    **{f"{argv[0]} on a header naming a covariate twice": (
+        [*argv, "--input", "{d}/twice.csv"], "covariate 'z_1' is named twice")
+       for argv in (["transform", "--output", "{d}/o.csv"],
+                    ["train", "--model-out", "{d}/m.json"],
+                    ["split", "--train-out", "{d}/tr.csv", "--test-out", "{d}/te.csv"])},
+    "model naming a covariate twice": (["predict", "--model", "{d}/twice.json", "--input",
+                                        "{d}/data.csv", "--output", "{d}/p.csv"],
+                                       "covariate 'z_1' is named twice"),
     "zero replicates": (["simulate", "--replicates", "0", "--out", "{d}/study"],
                         "replicates must be at least 1"),
+    "replicates beyond ssize_t": (["simulate", "--replicates", "100000000000000000000", "--n",
+                                   "40", "--out", "{d}/study"],
+                                  "replicates must be at most 9223372036854775807 in magnitude"),
+    "replicates beyond ssize_t in config": (["simulate", "--config", "{d}/bigint.json", "--n",
+                                             "40", "--out", "{d}/study"],
+                                            "replicates must be at most 9223372036854775807"),
+    "config integer of 5 000 digits": (["train", "--config", "{d}/digits.json", "--input",
+                                        "{d}/data.csv", "--model-out", "{d}/m.json"],
+                                       "{d}/digits.json: Exceeds the limit (4300 digits)"),
     "unknown study": (["simulate", "--study", "nope", "--out", "{d}/study"],
                       "study must be aft, cox-dependent, or cox-independent"),
     "split fraction above 1": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
@@ -1110,6 +1139,14 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, strict_json, case):
     (tmp_path / "infcap.json").write_text('{"weight_cap": Infinity}')
     (tmp_path / "inflist.json").write_text('{"grid_percentiles": [1e400], "grid_times": "2.5"}')
     (tmp_path / "hugelist.json").write_text('{"grid_times": [1%s]}' % ("0" * 400))
+    (tmp_path / "bigint.json").write_text('{"replicates": 100000000000000000000}')
+    (tmp_path / "digits.json").write_text('{"budget": 1%s}' % ("0" * 5000))
+    write_csv(tmp_path / "twice.csv", [["time", "event", "z_1", "z_1"]]
+              + [[str(t), str(t % 2), "0.5", "1"] for t in range(1, 6)])
+    first, *rest = _model()["weights"]
+    (tmp_path / "twice.json").write_text(json.dumps(_model(
+        covariate_names=["z_1", "z_1"], covariate_mean=[0.0, 0.0], covariate_std=[1.0, 1.0],
+        weights=[first + first[:1], *rest])))
     for case, (fields, _) in BAD_MODELS.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(_model(**fields)))
     write_csv(tmp_path / "header.csv", [["time", "event", "z_1"]])

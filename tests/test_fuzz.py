@@ -1,4 +1,4 @@
-"""Hostile prediction, model and config files, run in-process through ``cli.main``.
+"""Hostile dataset, prediction, model and config files, run in-process through ``cli.main``.
 
 Hypothesis draws the files; the search is derandomized, so every run tries
 the same cases.  Whatever a file holds, the run exits 0, 2 or 3, prints
@@ -141,3 +141,44 @@ def test_float_options_in_config_files(inputs, strict_json, case, cell):
     code = _run(inputs, {"c.json": config}, [command, "--config", "{d}/c.json", *argv],
                 strict_json)
     assert code == 2 or cell in VALID
+
+
+# a command run on a drawn dataset ({c} is one of its covariate names, z when it has none),
+# with the model trained on data.csv for predict and evaluate
+DATASET_COMMANDS = [
+    ["transform", "--output", "{d}/o.csv"],
+    ["transform", "--output", "{d}/o.csv", "--ipcw"],
+    ["transform", "--output", "{d}/o.csv", "--ipcw", "--censor-covariates", "{c}"],
+    ["train", "--model-out", "{d}/m.json", "--budget", "1", "--folds", "2", "--epochs", "1",
+     "--threads", "1"],
+    ["split", "--train-out", "{d}/a.csv", "--test-out", "{d}/b.csv"],
+    ["predict", "--model", "{root}/model.json", "--output", "{d}/p.csv"],
+    ["evaluate", "--model", "{root}/model.json", "--output", "{d}/r.csv"],
+]
+
+
+@st.composite
+def dataset_files(draw):
+    """1-30 subjects and 0-2 covariates, in either order or one name twice; times distinct,
+    tied or all equal, events perhaps all censored, valid covariates, and a few cells of any
+    column drawn from CELLS.  The names, and the file's text."""
+    n = draw(st.integers(1, 30) | st.integers(20, 30))  # often enough for a CV fold's pairs
+    names = draw(st.sampled_from([[], ["z"], ["z", "w"], ["w", "z"], ["z", "z"]]))
+    times = draw(st.sampled_from([[str(t) for t in range(1, 31)], ["1", "2", "2", "3"], ["4"]]))
+    censored = draw(st.integers(0, 3)) == 0
+    rows = [[times[i % len(times)], "0" if censored else draw(st.sampled_from(["0", "1"])),
+             *(draw(st.sampled_from(VALID)) for _ in names)] for i in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(CELLS))
+    return names, "\n".join(",".join(row) for row in [["time", "event", *names], *rows]) + "\n"
+
+
+@pytest.mark.parametrize("argv", DATASET_COMMANDS, ids=" ".join)
+@settings(SETTINGS, max_examples=50)  # per command, to keep the file within 10 s
+@given(file=dataset_files(), data=st.data())
+def test_dataset_files(inputs, strict_json, argv, file, data):
+    names, text = file
+    column = data.draw(st.sampled_from(names or ["z"]))
+    _run(inputs, {"data.csv": text},
+         [arg.replace("{c}", column) for arg in argv] + ["--input", "{d}/data.csv"], strict_json)

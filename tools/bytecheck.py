@@ -6,8 +6,9 @@ REV is checked out with ``git worktree`` into a temporary directory (local,
 no network) that is removed afterwards.  The seed-3 inputs of the three
 benchmark workloads are made once with ``perfbench/make_inputs.py``, beside
 a 3 000-subject cohort with integer times, in which each grid interval holds
-one event time.  One fixed matrix of CLI commands then runs in both trees,
-each in a directory with the same layout, on copies of those inputs.
+one event time, and a copy of the ``train_aft`` test file whose covariate
+columns are reversed.  One fixed matrix of CLI commands then runs in both
+trees, each in a directory with the same layout, on copies of those inputs.
 
 Two things are compared per result: the sha256 of every file written and
 the sha256 of the float64 arrays behind each CSV (pseudo values, predictions
@@ -45,7 +46,9 @@ _COHORT_GRID = "0.1,0.2,0.3,0.4,0.5"
 
 # the matrix: every path is relative to the tree's run directory
 MATRIX = [
-    # train_aft, as the benchmark runs it, plus --ipcw, a plain transform and split
+    # train_aft, as the benchmark runs it, plus --ipcw, a plain transform, split and the
+    # covariates looked up by name: a censoring model on two of them, and a prediction on the
+    # test file with its covariate columns reversed
     ["train", "--input", "train_aft/train.csv", "--model-out", "train_aft/model_default.json",
      *_SEARCH],
     ["train", "--input", "train_aft/train.csv", "--model-out", "train_aft/model_serial.json",
@@ -54,9 +57,13 @@ MATRIX = [
      "--ipcw", *_SEARCH, "--threads", "1"],
     ["predict", "--model", "train_aft/model_serial.json", "--input", "train_aft/test.csv",
      "--output", "train_aft/pred.csv"],
+    ["predict", "--model", "train_aft/model_serial.json", "--input",
+     "train_aft/test_reversed.csv", "--output", "train_aft/pred_reversed.csv"],
     ["evaluate", "--model", "train_aft/model_serial.json", "--input", "train_aft/test.csv",
      "--output", "train_aft/eval.csv"],
     ["transform", "--input", "train_aft/train.csv", "--output", "train_aft/pseudo.csv"],
+    ["transform", "--input", "train_aft/train.csv", "--output", "train_aft/pseudo_z3_z1.csv",
+     "--ipcw", "--censor-covariates", "z_3,z_1"],
     ["split", "--input", "train_aft/test.csv", "--train-out", "train_aft/split_train.csv",
      "--test-out", "train_aft/split_test.csv", "--seed", "1"],
     # ipcw_cohort, as the benchmark runs it, plus explicit grid times
@@ -124,6 +131,14 @@ def _make_one_event(path: Path) -> None:
             writer.writerow([rng.randint(1, 4), int(rng.random() < 0.7 - 0.2 * (z > 0)), repr(z)])
 
 
+def _reverse_covariates(src: Path, dst: Path) -> None:
+    """``src`` with its covariate columns in reverse order, cells copied as text."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:2] + row[:1:-1] for row in rows)
+
+
 def _make_inputs(root: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     for workload in WORKLOADS:
@@ -132,6 +147,7 @@ def _make_inputs(root: Path) -> None:
                        env=env, check=True, stdout=subprocess.DEVNULL)
     (root / "one_event").mkdir()
     _make_one_event(root / "one_event" / "cohort.csv")
+    _reverse_covariates(root / "train_aft" / "test.csv", root / "train_aft" / "test_reversed.csv")
 
 
 def _array_log(run: Path) -> Path:
