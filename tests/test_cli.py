@@ -1007,7 +1007,7 @@ def test_hand_written_model_predicts(tmp_path):
 # the two events first), header.csv (no rows), an empty directory dir, malformed models,
 # prediction files pred.csv, noid.csv (no id column), abc.csv (a column not named by a time),
 # short.csv (4 rows), inf.csv (first cell inf) and infcol.csv (a column named inf), twice.csv
-# (data.csv with z_1 twice in its header), twice.json (a model naming z_1 twice), and config
+# (5 subjects, z_1 twice in the header), twice.json (a model naming z_1 twice), and config
 # files threads.json (a negative thread count), infcap.json (an infinite weight cap),
 # inflist.json (an infinite grid percentile beside grid times), hugelist.json (a grid time
 # beyond float range), bigint.json (replicates beyond a C ssize_t) and digits.json (a budget
