@@ -31,7 +31,9 @@ print("pseudo conditional survival probabilities (rows end when a subject")
 print("leaves the risk set):")
 print()
 print("id    z_1   d_0 d_6 d_12   pseudo")
-rows = zip(table.subject_ids, table.covariates, table.time_indicators, table.pseudo)
+# a row names its subject; the covariates stay in the dataset, one row per subject
+rows = zip(table.subject_ids, data.covariates[table.subject_ids], table.time_indicators,
+           table.pseudo)
 for subject, z, indicator, value in rows:
     d = " ".join(str(int(v)) for v in indicator)
     print(f"{subject:2d}  {z[0]:+5.1f}   {d}   {value:+7.3f}")

@@ -367,8 +367,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise DataError; its subcommand parsers are one too."""
+
+    def error(self, message):
+        raise DataError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudosurv",
         description="Pseudo-value survival prediction: "
                     "transform, train, predict, evaluate, simulate, split.",
@@ -389,12 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     # a library warning prints as one line, without its source location
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
+        args = _build_parser().parse_args(argv)
         resolved = _resolve(args.command, args)
         with one_blas_thread():  # the workers, not BLAS, take the cores
             args.func(resolved)

@@ -257,18 +257,19 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     if len(table) == 0:
         raise DataError("empty pseudo table")
     # the design matrix [(covariates - mean) / std, one-hot interval], written in place
-    n_rows, p = table.covariates.shape
+    n_rows, p = len(table), table.p
     n_in = p + table.n_intervals
     X = np.zeros((n_rows, n_in))
+    Z = np.take(table.data.covariates, table.subject_ids, axis=0, out=X[:, :p])
     with np.errstate(all="ignore"):  # an overflow is refused below
-        mean = table.covariates.mean(axis=0)
-        std = table.covariates.std(axis=0)
+        mean = Z.mean(axis=0)
+        std = Z.std(axis=0)
     bad = np.flatnonzero(~np.isfinite(std)).tolist()  # a non-finite mean makes std one too
     if bad:
-        names = ", ".join(table.covariate_names[k] for k in bad)
+        names = ", ".join(table.data.covariate_names[k] for k in bad)
         raise NumericError(f"covariates {names} overflow their mean or standard deviation")
     std = np.where(std > 0, std, 1.0)
-    Z = np.subtract(table.covariates, mean, out=X[:, :p])
+    Z -= mean
     Z /= std
     X[np.arange(n_rows), p + table.time_index] = 1.0
     y = table.pseudo
@@ -342,7 +343,7 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
         biases=[b.copy() for b in ws.biases],
         training_log=loss_log,
         weight_norm_log=norm_log,
-        covariate_names=table.covariate_names,
+        covariate_names=table.data.covariate_names,
     )
 
 

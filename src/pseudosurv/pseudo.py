@@ -61,38 +61,39 @@ class TimeGrid:
 class PseudoTable:
     """All pseudo conditional probabilities for a dataset on a grid.
 
-    Rows are sorted by (subject, interval).  A subject has a row at interval
-    j exactly when its observed time exceeds the interval start, so the
-    per-subject intervals always form a prefix 0..k.
+    Row k is subject ``subject_ids[k]`` of ``data`` in interval
+    ``time_index[k]``; the covariates stay in ``data``, one row per subject.
+    :func:`pseudo_conditional` sorts the rows by (subject, interval), and a
+    subject has a row at interval j exactly when its observed time exceeds
+    the interval start, so the per-subject intervals form a prefix 0..k.
     """
 
+    data: Dataset
     subject_ids: np.ndarray
-    covariates: np.ndarray
     time_index: np.ndarray
     pseudo: np.ndarray
     grid: TimeGrid
-    covariate_names: tuple[str, ...]
 
     def __post_init__(self):
         ids = np.asarray(self.subject_ids, dtype=int)
-        cov = np.asarray(self.covariates, dtype=float)
         tidx = np.asarray(self.time_index, dtype=int)
         ps = np.asarray(self.pseudo, dtype=float)
-        if not (ids.size == cov.shape[0] == tidx.size == ps.size):
+        if not (ids.size == tidx.size == ps.size):
             raise DataError("pseudo table columns must have equal length")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.data)):
+            raise DataError(f"subject_ids out of range for a dataset of {len(self.data)}")
         if ids.size and (tidx.min() < 0 or tidx.max() >= self.grid.n_intervals):
             raise DataError("time_index out of range for grid")
         if not np.all(np.isfinite(ps)):
             raise DataError("pseudo values must be finite")
-        freeze(self, subject_ids=ids, covariates=cov, time_index=tidx, pseudo=ps,
-               covariate_names=tuple(self.covariate_names))
+        freeze(self, subject_ids=ids, time_index=tidx, pseudo=ps)
 
     def __len__(self) -> int:
         return self.pseudo.size
 
     @property
     def p(self) -> int:
-        return self.covariates.shape[1]
+        return self.data.p
 
     @property
     def n_intervals(self) -> int:
@@ -108,20 +109,13 @@ class PseudoTable:
 
     def subset_subjects(self, keep) -> "PseudoTable":
         mask = np.isin(self.subject_ids, np.asarray(keep))
-        return PseudoTable(
-            self.subject_ids[mask],
-            self.covariates[mask],
-            self.time_index[mask],
-            self.pseudo[mask],
-            self.grid,
-            self.covariate_names,
-        )
+        return PseudoTable(self.data, self.subject_ids[mask], self.time_index[mask],
+                           self.pseudo[mask], self.grid)
 
     def to_csv(self, path) -> None:
         """Write rows as ``id, z_1..z_p, d_0..d_{J-1}, pseudo`` (see :func:`write_csv`).
 
-        A subject's rows repeat its covariates, so each run of rows with the
-        same covariate bits is formatted once and its text gathered by row.
+        Each subject's covariates are formatted once and their text gathered by row.
         """
         J = self.n_intervals
         covariates = [f"z_{k + 1}" for k in range(self.p)]
@@ -129,13 +123,11 @@ class PseudoTable:
         onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
         cells = [self.subject_ids]
         if self.p:
-            bits = np.ascontiguousarray(self.covariates).view(np.uint64)
-            new_run = np.ones(len(self), dtype=bool)
-            new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            ids = self.subjects()
             text = [",".join(row) for row in zip(*(
-                [format(v, ".6g") for v in col.tolist()] for col in self.covariates[new_run].T
+                [format(v, ".6g") for v in col.tolist()] for col in self.data.covariates[ids].T
             ))]
-            cells.append([text[i] for i in (np.cumsum(new_run) - 1).tolist()])
+            cells.append([text[k] for k in np.searchsorted(ids, self.subject_ids).tolist()])
         onehot_cells = [onehot[j] for j in self.time_index.tolist()]
         write_csv(path, header, [*cells, onehot_cells, self.pseudo])
 
@@ -182,8 +174,8 @@ def _loo_pseudo(times, events, horizon, weights=None, rows=None, time_offset=0.0
         s_full, s_loo = _ipcw_loo(times, events, u[u <= horizon], weights, rows, time_offset)
         exact = False
     if exact:
-        return (times > horizon).astype(float), s_full, s_loo
-    return m * s_full - (m - 1) * s_loo, s_full, s_loo
+        return (times > horizon).astype(float)
+    return m * s_full - (m - 1) * s_loo
 
 
 def pseudo_marginal(data: Dataset, t: float, weights: WeightFunction | None = None) -> np.ndarray:
@@ -199,8 +191,7 @@ def pseudo_marginal(data: Dataset, t: float, weights: WeightFunction | None = No
         raise DataError("time point must be positive")
     if weights is not None and weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")
-    values, _, _ = _loo_pseudo(data.time, data.event, t, weights)
-    return values
+    return _loo_pseudo(data.time, data.event, t, weights)
 
 
 def pseudo_conditional(
@@ -213,20 +204,25 @@ def pseudo_conditional(
     T_i - t_j with its original indicator, and the leave-one-out estimator is
     evaluated at the residual horizon t_{j+1} - t_j.  With ``weights`` the
     IPCW survival estimator replaces Kaplan-Meier; the single weight function
-    is reused at every interval, evaluated at absolute time.
+    is reused at every interval, evaluated at absolute time.  The table's
+    rows run by subject, then interval: subject i has one row for each
+    interval start below T_i, and each interval's values go straight to
+    their rows.
     """
     if grid.cutpoints[-1] >= data.time.max():
         raise DataError("last cutpoint must be strictly below the maximum follow-up time")
     if weights is not None and weights.n_subjects != len(data):
         raise DataError("weight function does not match dataset size")
 
-    ids_parts, tidx_parts, pseudo_parts = [], [], []
-    for j in range(grid.n_intervals):
-        start = grid.interval_start(j)
+    starts = np.concatenate(([0.0], grid.cutpoints[:-1]))
+    counts = np.searchsorted(starts, data.time, side="left")  # intervals that start before T_i
+    first = np.cumsum(counts) - counts  # each subject's first row
+    ids = np.repeat(np.arange(len(data)), counts)
+    pseudo = np.empty(ids.size)
+    for j, start in enumerate(starts.tolist()):
         horizon = grid.interval_end(j) - start
         at_risk = data.time > start
-        r_j = int(at_risk.sum())
-        if r_j < 2:
+        if np.count_nonzero(at_risk) < 2:
             raise DataError("interval too late: risk set < 2")
         res_t = data.time[at_risk] - start
         res_e = data.event[at_risk]
@@ -236,21 +232,6 @@ def pseudo_conditional(
                 "its pseudo values are all 1",
                 stacklevel=2,
             )
-        ids = np.flatnonzero(at_risk)
-        values, _, _ = _loo_pseudo(res_t, res_e, horizon, weights, rows=ids, time_offset=start)
-        ids_parts.append(ids)
-        tidx_parts.append(np.full(r_j, j))
-        pseudo_parts.append(values)
-
-    ids = np.concatenate(ids_parts)
-    tidx = np.concatenate(tidx_parts)
-    pseudo = np.concatenate(pseudo_parts)
-    order = np.lexsort((tidx, ids))
-    return PseudoTable(
-        ids[order],
-        data.covariates[ids[order]],
-        tidx[order],
-        pseudo[order],
-        grid,
-        data.covariate_names,
-    )
+        pseudo[first[at_risk] + j] = _loo_pseudo(res_t, res_e, horizon, weights,
+                                                 rows=np.flatnonzero(at_risk), time_offset=start)
+    return PseudoTable(data, ids, np.arange(ids.size) - np.repeat(first, counts), pseudo, grid)

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import DataError
+
 # cells per block of a blocked pass: 2**17 float64 cells is 1 MiB, inside a per-core L2 cache
 _BLOCK_CELLS = 2**17
 
@@ -50,13 +52,13 @@ def quantile(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _seed_keys(seed: int, tags) -> list[int]:
-    """The base seed plus one 32-bit key per tag; strings go through crc32."""
-    keys = [int(seed) & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            keys.append(zlib.crc32(tag.encode("utf-8")))
-        else:
-            keys.append(int(tag) & 0xFFFFFFFF)
+    """The base seed plus one 32-bit key per tag; strings go through crc32.  A seed or an
+    integer tag outside 0..4294967295 raises DataError rather than sharing another's keys."""
+    keys = [int(seed), *(zlib.crc32(t.encode("utf-8")) if isinstance(t, str) else int(t)
+                         for t in tags)]
+    for key in keys:
+        if not 0 <= key <= 0xFFFFFFFF:
+            raise DataError(f"seed must be in 0..4294967295, not {key}")
     return keys
 
 

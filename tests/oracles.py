@@ -26,6 +26,11 @@ multiplied into every row and a guarded divide on every entry, kept as a
 byte oracle for weights, sums and pseudo values.  ``pseudo_table_to_csv`` is
 the pseudo-value table writer that formatted every row's covariates.
 
+``pseudo_conditional`` is the pseudo-value table as it was built before its
+rows were written in place: one part per interval, concatenated, sorted by
+``np.lexsort`` and its covariates gathered row by row, kept as a byte oracle
+for the table's columns.
+
 ``gen_friedman_aft`` is the nonlinear AFT generator as it was before it drew
 its calibration covariates a block at a time: the whole calibration matrix in
 one draw, kept as a byte oracle for datasets and their metadata.
@@ -64,6 +69,7 @@ from pseudosurv.data import _MISSING_TOKENS, write_csv
 from pseudosurv.estimators import _event_table
 from pseudosurv.metrics import _check_matrix
 from pseudosurv.net import _batch_loss_and_grads, _Workspace
+from pseudosurv.pseudo import _loo_pseudo
 from pseudosurv.util import derived_rng
 
 
@@ -173,10 +179,11 @@ def train(table: PseudoTable, config: MlpConfig) -> MlpModel:
     """
     if len(table) == 0:
         raise DataError("empty pseudo table")
-    mean = table.covariates.mean(axis=0)
-    std = table.covariates.std(axis=0)
+    covariates = table.data.covariates[table.subject_ids]
+    mean = covariates.mean(axis=0)
+    std = covariates.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    X = np.hstack([(table.covariates - mean) / std, table.time_indicators])
+    X = np.hstack([(covariates - mean) / std, table.time_indicators])
     y = table.pseudo
     n_in = X.shape[1]
 
@@ -565,7 +572,29 @@ def pseudo_table_to_csv(table: PseudoTable, path) -> None:
     header = ["id", *covariates, *(f"d_{j}" for j in range(J)), "pseudo"]
     onehot = [",".join("1" if k == j else "0" for k in range(J)) for j in range(J)]
     onehot_cells = [onehot[j] for j in table.time_index.tolist()]
-    write_csv(path, header, [table.subject_ids, *table.covariates.T, onehot_cells, table.pseudo])
+    covariates = table.data.covariates[table.subject_ids]
+    write_csv(path, header, [table.subject_ids, *covariates.T, onehot_cells, table.pseudo])
+
+
+def pseudo_conditional(data: Dataset, grid, weights: WeightFunction | None = None):
+    """The table's columns ``(subject_ids, covariates, time_index, pseudo)``, built one
+    interval at a time and sorted by (subject, interval); it neither warns nor refuses."""
+    ids_parts, tidx_parts, pseudo_parts = [], [], []
+    for j in range(grid.n_intervals):
+        start = grid.interval_start(j)
+        horizon = grid.interval_end(j) - start
+        at_risk = data.time > start
+        ids = np.flatnonzero(at_risk)
+        values = _loo_pseudo(data.time[at_risk] - start, data.event[at_risk], horizon, weights,
+                             rows=ids, time_offset=start)
+        ids_parts.append(ids)
+        tidx_parts.append(np.full(ids.size, j))
+        pseudo_parts.append(values)
+    ids = np.concatenate(ids_parts)
+    tidx = np.concatenate(tidx_parts)
+    pseudo = np.concatenate(pseudo_parts)
+    order = np.lexsort((tidx, ids))
+    return ids[order], data.covariates[ids[order]], tidx[order], pseudo[order]
 
 
 def gen_friedman_aft(spec, return_info: bool = False):

@@ -111,8 +111,8 @@ def _value_objects():
         pseudosurv.StepSurvivalCurve(np.array([1.0, 3.0]), np.array([0.5, 0.25])),
         pseudosurv.WeightFunction(np.array([2.0]), np.array([0.3]), np.array([1.0, 2.0, 0.5])),
         grid,
-        pseudosurv.PseudoTable(np.array([0, 0, 1]), np.array([[0.5], [0.5], [-1.0]]),
-                               np.array([0, 1, 0]), np.array([1.2, 0.4, 0.9]), grid, ("z_1",)),
+        pseudosurv.PseudoTable(data, np.array([0, 0, 1]), np.array([0, 1, 0]),
+                               np.array([1.2, 0.4, 0.9]), grid),
         pseudosurv.evaluate_predictions(data, np.full((3, 2), 0.5), np.array([1.5, 2.5])),
         pseudosurv.GeeModel(np.array([-1.0, 0.0]), np.array([0.7]), np.array([1.5, 2.5])),
     ]

@@ -35,12 +35,13 @@ from oracles import buffered_loss_and_grads
 
 
 def toy_table(rng, n=80, J=3, p=2, pseudo=None):
+    data = Dataset(np.full(n, J + 1.0), np.ones(n, dtype=bool), rng.standard_normal((n, p)),
+                   tuple(f"z_{k+1}" for k in range(p)))
     ids = np.repeat(np.arange(n), J)
-    covs = np.repeat(rng.standard_normal((n, p)), J, axis=0)
     tidx = np.tile(np.arange(J), n)
     ps = rng.random(n * J) if pseudo is None else np.full(n * J, pseudo, dtype=float)
     grid = TimeGrid(np.arange(1.0, J + 1.0))
-    return PseudoTable(ids, covs, tidx, ps, grid, tuple(f"z_{k+1}" for k in range(p)))
+    return PseudoTable(data, ids, tidx, ps, grid)
 
 
 def small_config(**kw):
@@ -103,15 +104,16 @@ class TestTraining:
 
     @pytest.mark.parametrize("p, constant", [(1, False), (1, True), (2, False), (20, True)])
     def test_covariate_std_is_numpys_std(self, rng, p, constant):
-        """The std is summed from squares written into the design matrix, bit for bit np.std
-        with zeros replaced by 1; numpy sums one column (p = 1) of the 12 000 rows pairwise."""
+        """The std of the rows gathered into the design matrix is, bit for bit, np.std of
+        their contiguous copy with zeros replaced by 1; numpy sums one column (p = 1) of the
+        12 000 rows pairwise."""
         table = toy_table(rng, n=4000, p=p)
-        covs = 5.0 + 100.0 * table.covariates
+        covs = 5.0 + 100.0 * table.data.covariates
         if constant:
             covs[:, -1] = 3.0
-        table = PseudoTable(table.subject_ids, covs, table.time_index, table.pseudo, table.grid,
-                            table.covariate_names)
-        want = covs.std(axis=0)
+        data = Dataset(table.data.time, table.data.event, covs, table.data.covariate_names)
+        table = PseudoTable(data, table.subject_ids, table.time_index, table.pseudo, table.grid)
+        want = covs[table.subject_ids].std(axis=0)
         want[want == 0] = 1.0
         assert (want == 1.0).any() == constant
         got = train(table, small_config(epochs=1, batch_size=4096)).covariate_std
@@ -231,14 +233,8 @@ class TestTraining:
 
     def test_divergence_reported_with_epoch(self, rng):
         table = toy_table(rng, n=20)
-        huge = PseudoTable(
-            table.subject_ids,
-            table.covariates,
-            table.time_index,
-            np.full(len(table), 1e200),
-            table.grid,
-            table.covariate_names,
-        )
+        huge = PseudoTable(table.data, table.subject_ids, table.time_index,
+                           np.full(len(table), 1e200), table.grid)
         with pytest.raises(NumericError, match="diverged at epoch"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow is the point
             train(huge, small_config())
@@ -252,8 +248,8 @@ class TestTraining:
 
     def test_divergence_in_search_names_config_and_fold(self, rng):
         table = toy_table(rng, n=20)
-        huge = PseudoTable(table.subject_ids, table.covariates, table.time_index,
-                           np.full(len(table), 1e200), table.grid, table.covariate_names)
+        huge = PseudoTable(table.data, table.subject_ids, table.time_index,
+                           np.full(len(table), 1e200), table.grid)
         data = Dataset(np.arange(1.0, 21.0), np.ones(20, dtype=bool),
                        rng.standard_normal((20, 2)), ("z_1", "z_2"))
         cfg = small_config()
@@ -379,6 +375,15 @@ class TestPrediction:
             cond = predict_conditional_matrix(model, zs)[:, j]
             rho = spearmanr(zs[:, 0], cond).statistic
             assert rho <= -0.9
+
+
+def test_seed_or_tag_outside_32_bits_raises():
+    """A seed and each integer tag are whole 32-bit keys, never cut down to their low bits."""
+    top = 2**32 - 1
+    assert derived_seed(top, "folds", top) != derived_seed(0, "folds", top)
+    for seed, tag in ((-1, 0), (2**32, 0), (0, -1), (0, 2**32)):
+        with pytest.raises(DataError, match=r"^seed must be in 0\.\.4294967295, not -?\d+$"):
+            derived_seed(seed, "folds", tag)
 
 
 class TestGridSearch:

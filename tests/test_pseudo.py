@@ -26,6 +26,7 @@ from pseudosurv.pseudo import _loo_pseudo
 from pseudosurv.util import distinct, quantile
 
 from conftest import random_censored_dataset, uncensored_dataset
+import oracles
 from oracles import constant_weights, pseudo_marginal_naive, pseudo_table_to_csv
 
 
@@ -195,12 +196,61 @@ class TestPseudoConditional:
                 horizon = grid.interval_end(j) - start
                 at = d.time > start
                 res_t, res_e = d.time[at] - start, d.event[at]
-                for kw in ({}, dict(weights=ipcw, rows=np.flatnonzero(at), time_offset=start)):
-                    values, s_full, s_loo = _loo_pseudo(res_t, res_e, horizon, **kw)
+                rows = np.flatnonzero(at)
+                u = distinct(res_t[res_e])
+                for kw in ({}, dict(weights=ipcw, rows=rows, time_offset=start)):
+                    values = _loo_pseudo(res_t, res_e, horizon, **kw)
+                    if kw:
+                        s_full, s_loo = estimators._ipcw_loo(res_t, res_e, u[u <= horizon], ipcw,
+                                                             rows, start)
+                    else:
+                        s_full, s_loo, _ = estimators._km_loo(res_t, res_e, horizon)
                     r = res_t.size
                     lhs = values.mean()
                     rhs = r * s_full - (r - 1) * np.mean(s_loo)
                     assert abs(lhs - rhs) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_interval_by_interval_construction(self, data):
+        """Bit for bit the table sorted from one part per interval, KM and IPCW, on half-unit
+        times: ties, times of 0 (no row) and times on a cutpoint (no row in the next interval)."""
+        n = data.draw(st.integers(3, 40))
+        times = np.array(data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))) / 2.0
+        events = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        p = data.draw(st.integers(0, 2))
+        covs = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n * p,
+                                           max_size=n * p))).reshape(n, p)
+        d = Dataset(times, events, covs, tuple(f"z_{k + 1}" for k in range(p)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, 11), min_size=1, max_size=4)))
+        grid = TimeGrid(np.array(cuts) / 2.0)
+        if grid.cutpoints[-1] >= times.max():
+            return
+        ipcw = WeightFunction(np.array([0.5, 2.0, 4.0]), np.array([0.1, 0.3, 0.6]),
+                              np.linspace(0.5, 2.0, n))
+        too_late = min(int((times > grid.interval_start(j)).sum())
+                       for j in range(grid.n_intervals)) < 2
+        for weights in (None, ipcw):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # intervals without events
+                if too_late:
+                    with pytest.raises(DataError, match="interval too late"):
+                        pseudo_conditional(d, grid, weights)
+                    continue
+                table = pseudo_conditional(d, grid, weights)
+                want = oracles.pseudo_conditional(d, grid, weights)
+            got = (table.subject_ids, table.data.covariates[table.subject_ids], table.time_index,
+                   table.pseudo)
+            assert table.data is d
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_subject_outside_data_refused(self):
+        d = simple([1.0, 2.0, 3.0], [1, 1, 1])
+        for ids in ([0, 3], [-1, 0]):
+            with pytest.raises(DataError, match="subject_ids out of range for a dataset of 3"):
+                PseudoTable(d, np.array(ids), np.array([0, 0]), np.array([0.5, 0.5]),
+                            TimeGrid(np.array([1.5])))
 
     def test_small_risk_set_rejected(self):
         # only one subject survives past 3, so the interval (3, 9] cannot be jackknifed
@@ -348,23 +398,27 @@ class TestPseudoTableSerialization:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_csv_bytes_match_row_by_row_writer(self, tmp_path_factory, data):
-        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 123456.5]
-        cell = st.one_of(st.sampled_from(special), st.floats(allow_nan=False, width=64))
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e300, 123456.5, 1e-5, 0.1]
+        cell = st.one_of(st.sampled_from(special), st.floats(allow_nan=False, allow_infinity=False,
+                                                             width=64))
         p = data.draw(st.integers(0, 3))
         J = data.draw(st.integers(1, 4))
-        # a subject's rows usually share its covariates; sometimes a row differs
-        subjects = data.draw(st.lists(st.lists(cell, min_size=p, max_size=p), min_size=1, max_size=6))
-        ids, tidx, cov = [], [], []
-        for sid, row in enumerate(subjects):
-            for j in range(data.draw(st.integers(1, J))):
+        # one covariate row per subject, at times a copy of its neighbour's
+        n = data.draw(st.integers(1, 6))
+        cov = []
+        for _ in range(n):
+            same = cov and data.draw(st.booleans())
+            cov.append(cov[-1] if same else data.draw(st.lists(cell, min_size=p, max_size=p)))
+        d = Dataset(np.ones(n), np.ones(n, dtype=bool), np.array(cov, dtype=float).reshape(n, p),
+                    tuple(f"z_{k + 1}" for k in range(p)))
+        # the rows of a subset of the subjects, gaps included
+        ids, tidx = [], []
+        for sid in range(n):
+            for j in range(data.draw(st.integers(0, J))):
                 ids.append(sid)
                 tidx.append(j)
-                cov.append(data.draw(st.lists(cell, min_size=p, max_size=p)) if data.draw(
-                    st.integers(0, 4)) == 0 else row)
-        n = len(ids)
-        table = PseudoTable(np.array(ids), np.array(cov, dtype=float).reshape(n, p), np.array(tidx),
-                            np.linspace(-0.5, 1.5, n), TimeGrid(np.arange(1.0, J + 1)),
-                            tuple(f"z_{k + 1}" for k in range(p)))
+        table = PseudoTable(d, np.array(ids, dtype=int), np.array(tidx, dtype=int),
+                            np.linspace(-0.5, 1.5, len(ids)), TimeGrid(np.arange(1.0, J + 1)))
         out = tmp_path_factory.mktemp("csv")
         table.to_csv(out / "fast.csv")
         pseudo_table_to_csv(table, out / "oracle.csv")

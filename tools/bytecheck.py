@@ -6,8 +6,9 @@ REV is checked out with ``git worktree`` into a temporary directory (local,
 no network) that is removed afterwards.  The seed-3 inputs of the three
 benchmark workloads are made once with ``perfbench/make_inputs.py``, beside
 a 3 000-subject cohort with integer times, in which each grid interval holds
-one event time, and a copy of the ``train_aft`` test file whose covariate
-columns are reversed.  One fixed matrix of CLI commands then runs in both
+one event time, a 400-subject cohort with times of exactly 0 and on each
+grid time, and a copy of the ``train_aft`` test file whose covariate columns
+are reversed.  One fixed matrix of CLI commands then runs in both
 trees, each in a directory with the same layout, on copies of those inputs.
 
 Two things are compared per result: the sha256 of every file written and
@@ -87,6 +88,11 @@ MATRIX = [
     ["train", "--input", "one_event/cohort.csv", "--model-out", "one_event/model_ipcw.json",
      "--ipcw", "--grid-times", "1,2,3", "--budget", "1", "--folds", "2", "--epochs", "3",
      "--seed", "1", "--threads", "1"],
+    # times of 0 (no row) and times on a grid time (no row in the interval that starts there)
+    ["transform", "--input", "boundary/cohort.csv", "--output", "boundary/pseudo.csv",
+     "--grid-times", "1,2,3"],
+    ["transform", "--input", "boundary/cohort.csv", "--output", "boundary/pseudo_ipcw.csv",
+     "--ipcw", "--grid-times", "1,2,3"],
 ]
 
 
@@ -131,6 +137,20 @@ def _make_one_event(path: Path) -> None:
             writer.writerow([rng.randint(1, 4), int(rng.random() < 0.7 - 0.2 * (z > 0)), repr(z)])
 
 
+def _make_boundary(path: Path) -> None:
+    """400 subjects, about half at a time of 0, 1, 2 or 3 and the rest spread over (0, 5),
+    with censoring that depends on ``z_1``."""
+    rng = random.Random(SEED)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", "z_1", "z_2"])
+        for _ in range(400):
+            z = rng.gauss(0.0, 1.0)
+            t = rng.choice((0, 1, 2, 3)) if rng.random() < 0.5 else round(rng.uniform(0, 5), 2)
+            writer.writerow([t, int(rng.random() < 0.7 - 0.2 * (z > 0)), repr(z),
+                             rng.choice((-1, 0, 1))])
+
+
 def _reverse_covariates(src: Path, dst: Path) -> None:
     """``src`` with its covariate columns in reverse order, cells copied as text."""
     with open(src, newline="") as fh:
@@ -147,6 +167,8 @@ def _make_inputs(root: Path) -> None:
                        env=env, check=True, stdout=subprocess.DEVNULL)
     (root / "one_event").mkdir()
     _make_one_event(root / "one_event" / "cohort.csv")
+    (root / "boundary").mkdir()
+    _make_boundary(root / "boundary" / "cohort.csv")
     _reverse_covariates(root / "train_aft" / "test.csv", root / "train_aft" / "test_reversed.csv")
 
 
