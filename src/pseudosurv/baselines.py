@@ -29,9 +29,11 @@ def cox_predict_survival(model: CoxModel, covariates, t):
         raise DataError("model must be fit with target='event'")
     base = np.exp(-np.asarray(model.baseline_cumhaz.at(t), dtype=float))
     theta = model.linear_predictor(np.asarray(covariates, dtype=float))
+    with np.errstate(over="ignore"):  # a risk past float range is inf, and S_0 ** inf its limit
+        risk = np.exp(theta)
     if np.ndim(theta) == 0:  # scalar ** can round apart from the ufunc loop at a scalar t
-        return base ** np.exp(theta)
-    return np.power.outer(base, np.exp(theta)).T
+        return base ** risk
+    return np.power.outer(base, risk).T
 
 
 @dataclass(frozen=True)

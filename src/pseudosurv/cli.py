@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -37,15 +38,24 @@ from .data import (
 from .errors import DataError, NumericError
 from .util import derived_seed, one_blas_thread, parallel_map, usable_cpus
 
-_PSEUDO = {
-    "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
-    "grid_times": None,
-    "ipcw": False,
-    "censor_covariates": None,
-    "weight_cap": 20.0,
-    "drop_incomplete": False,
-}
-_SEARCH = {"budget": 20, "folds": 5, "epochs": 100, "batch_size": 256, "seed": 0, "threads": 0}
+
+def _budgets() -> range:
+    """1 to the size of the search grid, counted without building it."""
+    from .net import GRID_VALUES, HIDDEN_WIDTHS
+    layouts = len(HIDDEN_WIDTHS) + len(HIDDEN_WIDTHS) ** 2  # one and two hidden layers
+    return range(1, layouts * math.prod(map(len, GRID_VALUES.values())) + 1)
+
+
+# option: (default, admissible values): a range, a tuple of choices, a float interval "(lo, hi)"
+# or "[lo, hi)", a function that returns one of these (net loads only where it is searched), or
+# None for any value of the default's type
+_PSEUDO = {"grid_percentiles": ("0.1,0.2,0.3,0.4,0.5,0.6", None), "grid_times": (None, None),
+           "ipcw": (False, None), "censor_covariates": (None, None),
+           "weight_cap": (20.0, "(1, inf)"), "drop_incomplete": (False, None)}
+_SIZES = sys.maxsize + 1  # a length or an index fits a C ssize_t
+_SEARCH = {"budget": (20, _budgets), "folds": (5, range(2, _SIZES)),
+           "epochs": (100, range(1, _SIZES)), "batch_size": (256, range(1, _SIZES)),
+           "seed": (0, range(2**32)), "threads": (0, range(_SIZES))}
 # text options that a config file may also give as a JSON list, with the item type
 _LISTS = {"grid_percentiles": (int, float), "grid_times": (int, float), "times": (int, float),
           "censor_covariates": str}
@@ -102,10 +112,24 @@ def _read_config(path, command: str, defaults: dict) -> dict:
     return options
 
 
+def _check(key: str, value, admits) -> None:
+    """Refuse ``value`` for option ``key`` unless ``admits`` holds it."""
+    if isinstance(admits, range):
+        held, wanted = value in admits, f"in {admits.start}..{admits.stop - 1}"
+    elif isinstance(admits, tuple):
+        held, wanted = value in admits, f"one of {', '.join(admits)}"
+    else:  # a float interval, open above
+        lo, hi = (float(end) for end in admits[1:-1].split(","))
+        held = (lo <= value if admits[0] == "[" else lo < value) and value < hi
+        wanted = f"in {admits}"
+    if not held:
+        raise DataError(f"{key} must be {wanted}, not {value!r}")
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags."""
+    """defaults <- config file <- explicit flags, each checked before any input is read."""
     *_, required, options = _COMMANDS[command]
-    resolved = {**dict.fromkeys(required), **options}
+    resolved = {**dict.fromkeys(required), **{key: d for key, (d, _) in options.items()}}
     if args.config == "":
         raise DataError("--config is empty")
     if args.config:
@@ -115,24 +139,29 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             resolved[key] = value
-    # a float option, or a number in a config file's list, is finite (strict JSON stores it),
-    # and an integer option fits a C ssize_t, as lengths and indices must
-    for key, value in resolved.items():
-        numbers = value if isinstance(value, list) else [value]
-        if not np.isfinite([v for v in numbers if isinstance(v, float)]).all():
-            raise DataError(f"{key} must be finite, not {value}")
-        if type(options.get(key)) is int and abs(value) > sys.maxsize:
-            raise DataError(f"{key} must be at most {sys.maxsize} in magnitude, not {value}")
+    for key, kind in _LISTS.items():  # config.json stores a number list the run does not use too
+        if kind is not str and resolved.get(key):
+            _parse_floats(resolved[key])
+    for key, (_, admits) in options.items():
+        if admits is not None:
+            _check(key, resolved[key], admits() if callable(admits) else admits)
     for key in ("model", "predictions"):
         if resolved.get(key) == "":
             raise DataError(f"--{key} is empty")
-    if resolved.get("threads", 0) < 0:
-        raise DataError("threads must be 0 (all cores) or more")
-    if resolved.get("threads") == 0:
-        resolved["threads"] = usable_cpus()
     for key in required:
         if not resolved[key]:
             raise DataError(f"missing required option --{key.replace('_', '-')}")
+    if command == "evaluate" and (resolved["model"] is None) == (resolved["predictions"] is None):
+        raise DataError("provide exactly one of --model or --predictions")
+    if command == "evaluate" and resolved["times"] is not None and resolved["model"] is None:
+        raise DataError("--times applies only with --model")
+    study = resolved.get("study")
+    if study in ("aft", "cox-independent") and resolved["censoring_rate"] == 0:
+        raise DataError(f"--censoring-rate must be above 0: the {study} study models censoring")
+    if study == "aft" and resolved["n"] < 2:
+        raise DataError("n must be at least 2: one subject has no variance to rescale by")
+    if "threads" in resolved:  # 0 is every usable CPU, and a worker beyond them only waits
+        resolved["threads"] = min(resolved["threads"] or usable_cpus(), usable_cpus())
     return resolved
 
 
@@ -229,15 +258,11 @@ def cmd_predict(resolved: dict) -> None:
 def cmd_evaluate(resolved: dict) -> None:
     from .metrics import evaluate_predictions
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
-    if (resolved.get("model") is None) == (resolved.get("predictions") is None):
-        raise DataError("provide exactly one of --model or --predictions")
-    if resolved.get("model") is not None:
+    if resolved["model"] is not None:
         from .net import load_model, predict_survival
         model = load_model(resolved["model"])
         times = _parse_floats(resolved["times"]) if resolved.get("times") else model.cutpoints
         pred = predict_survival(model, _model_covariates(model, data), times)
-    elif resolved.get("times") is not None:
-        raise DataError("--times applies only with --model")
     else:
         pred, times = load_predictions(resolved["predictions"], len(data))
     with np.errstate(over="ignore"):  # a score that overflows is refused below
@@ -288,6 +313,7 @@ def _replicate(shared: tuple[dict, list], rep: int) -> dict:
                           seed=derived_seed(seed, "cox-train", rep))
         data, info = gen_cox(spec, return_info=True)
     if resolved["emit_data"]:
+        Path(resolved["out"]).mkdir(parents=True, exist_ok=True)
         write_dataset_with_metadata(data, info, Path(resolved["out"]) / f"replicate_{rep}_data.csv")
     row = {"replicate": rep, "censoring_rate": float(1.0 - data.event.mean())}
     if study == "aft":
@@ -317,16 +343,6 @@ def _replicate(shared: tuple[dict, list], rep: int) -> dict:
 
 
 def cmd_simulate(resolved: dict) -> None:
-    study = resolved["study"]
-    if study not in ("aft", "cox-dependent", "cox-independent"):
-        raise DataError("study must be aft, cox-dependent, or cox-independent")
-    if resolved["replicates"] < 1:
-        raise DataError("replicates must be at least 1")
-    if study == "cox-independent" and resolved["censoring_rate"] == 0:
-        raise DataError("--censoring-rate must be above 0: "
-                        "the cox-independent study models censoring")
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     reps = range(resolved["replicates"])
     # what a replicate runs, loaded before a pool forks so that its workers inherit it
     from . import baselines, net, sim  # noqa: F401
@@ -338,9 +354,11 @@ def cmd_simulate(resolved: dict) -> None:
 
     columns = list(rows[0].keys())
     values = {c: np.array([row[c] for row in rows]) for c in columns}
+    out_dir = Path(resolved["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "replicates.csv", columns, list(values.values()))
 
-    stats, mse = columns[1:], [] if study == "aft" else ["beta_gee", "beta_gee_ipcw"]
+    stats, mse = columns[1:], [] if resolved["study"] == "aft" else ["beta_gee", "beta_gee_ipcw"]
     names = stats + [f"{col}_mse_vs_1" for col in mse]
     means = [np.mean(values[c]) for c in stats] + [np.mean((values[c] - 1.0) ** 2) for c in mse]
     sds = [format(np.std(values[c]), ".6g") for c in stats] + [""] * len(mse)
@@ -348,22 +366,27 @@ def cmd_simulate(resolved: dict) -> None:
     _write_config(resolved, "simulate", out_dir)
 
 
-# command: (help, handler, required path options, options with their defaults);
-# every command also takes --config.  This table is each command's whole interface: its
-# flags, the keys of its config.json (all but threads) and, by each default, their types.
+# command: (help, handler, required path options, options with their defaults and admissible
+# values); every command also takes --config.  This table is each command's whole interface: its
+# flags, the keys of its config.json (all but threads), by each default their types, and the
+# values each admits.
 _COMMANDS = {
     "transform": ("build the pseudo-value table CSV", cmd_transform, ("input", "output"), _PSEUDO),
     "train": ("hyperparameter search, fit, and persist the model", cmd_train,
               ("input", "model_out"), {**_PSEUDO, **_SEARCH}),
     "predict": ("per-subject conditional and marginal survival", cmd_predict,
-                ("model", "input", "output"), {"drop_incomplete": False}),
+                ("model", "input", "output"), {"drop_incomplete": (False, None)}),
     "evaluate": ("c-index and Brier score report", cmd_evaluate, ("input", "output"),
-                 {"predictions": None, "model": None, "times": None, "drop_incomplete": False}),
+                 {"predictions": (None, None), "model": (None, None), "times": (None, None),
+                  "drop_incomplete": (False, None)}),
     "simulate": ("run a synthetic study end to end", cmd_simulate, ("out",),
-                 {"study": "cox-dependent", "replicates": 10, "n": 2000, "censoring_rate": 0.4,
-                  "with_net": False, "emit_data": False, **_SEARCH}),
+                 {"study": ("cox-dependent", ("aft", "cox-dependent", "cox-independent")),
+                  "replicates": (10, range(1, 10_001)), "n": (2000, range(1, 1_000_001)),
+                  "censoring_rate": (0.4, "[0, 1)"), "with_net": (False, None),
+                  "emit_data": (False, None), **_SEARCH}),
     "split": ("seeded train/test split of a dataset CSV", cmd_split,
-              ("input", "train_out", "test_out"), {"fraction": 0.75, "seed": 0}),
+              ("input", "train_out", "test_out"),
+              {"fraction": (0.75, "(0, 1)"), "seed": _SEARCH["seed"]}),
 }
 
 
@@ -384,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, handler, required, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="resolved-config JSON to replay")
-        for name, default in {**dict.fromkeys(required), **options}.items():
+        for name, (default, _) in {**dict.fromkeys(required, (None, None)), **options}.items():
             flag = "--" + name.replace("_", "-")
             if isinstance(default, bool):
                 p.add_argument(flag, dest=name, action="store_const", const=True)

@@ -52,6 +52,17 @@ class TestCoxPredictSurvival:
         preds = [cox_predict_survival(model, np.array([0.5]), t) for t in ts]
         assert np.all(np.diff(preds) <= 1e-15)
 
+    def test_relative_risk_beyond_float_range_gives_its_limit(self):
+        # exp(1000) overflows: S_0(t) ** inf is 0 where S_0(t) < 1 and 1 before the first event
+        data = gen_cox(CoxSimSpec(n=300, beta=1.0, censoring_rate=0.3, seed=4))
+        model = fit_cox(data)
+        t = float(np.median(data.time))
+        huge = model.covariate_means + 1000.0 / model.beta
+        assert cox_predict_survival(model, huge, t) == 0.0
+        assert cox_predict_survival(model, huge, data.time.min() / 2) == 1.0
+        preds = cox_predict_survival(model, np.stack([huge, model.covariate_means]), t)
+        assert preds[0] == 0.0 and 0.0 < preds[1] < 1.0
+
     def test_requires_event_target(self):
         data = gen_cox(CoxSimSpec(n=200, dependent_censoring=True, seed=4))
         model = fit_cox(data, target="censoring")

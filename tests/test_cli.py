@@ -478,6 +478,8 @@ class TestSimulate:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        # two usable CPUs on any machine, since --threads is cut to them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         outputs = []
         for threads in ("1", "2"):
             out_dir = tmp_path / f"study_{threads}"
@@ -741,6 +743,40 @@ def test_threads_0_counts_the_cpus_this_process_may_use(monkeypatch):
     assert cli._resolve("train", args)["threads"] == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._resolve("train", args)["threads"] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--input", "{d}/data.csv", "--model-out", "{d}/m.json", "--budget", "3",
+     "--folds", "2", "--epochs", "1"],
+    ["simulate", "--study", "cox-independent", "--replicates", "3", "--n", "40",
+     "--out", "{d}/study"]], ids=lambda argv: argv[0])
+def test_threads_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, argv):
+    """``--threads 100`` opens a pool of no more workers than the CPUs this process may use.
+    A stand-in executor records the pool's size and maps in this process, so no process
+    starts."""
+    from pseudosurv import util
+    pools = []
+
+    class InProcess:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(util, "_WORKER", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    save_dataset(gen_cox(CoxSimSpec(n=60, seed=1)), tmp_path / "data.csv")
+    assert main([arg.format(d=tmp_path) for arg in argv] + ["--threads", "100"]) == 0
+    assert pools == [util.usable_cpus()] == [2]
 
 
 class TestErrors:
@@ -1039,21 +1075,22 @@ HOSTILE = {
                                         "{d}/data.csv", "--output", "{d}/p.csv"],
                                        "covariate 'z_1' is named twice"),
     "zero replicates": (["simulate", "--replicates", "0", "--out", "{d}/study"],
-                        "replicates must be at least 1"),
+                        "replicates must be in 1..10000, not 0"),
     "replicates beyond ssize_t": (["simulate", "--replicates", "100000000000000000000", "--n",
                                    "40", "--out", "{d}/study"],
-                                  "replicates must be at most 9223372036854775807 in magnitude"),
+                                  "replicates must be in 1..10000, not 100000000000000000000"),
     "replicates beyond ssize_t in config": (["simulate", "--config", "{d}/bigint.json", "--n",
                                              "40", "--out", "{d}/study"],
-                                            "replicates must be at most 9223372036854775807"),
+                                            "replicates must be in 1..10000, "
+                                            "not 100000000000000000000"),
     "config integer of 5 000 digits": (["train", "--config", "{d}/digits.json", "--input",
                                         "{d}/data.csv", "--model-out", "{d}/m.json"],
                                        "{d}/digits.json: Exceeds the limit (4300 digits)"),
     "unknown study": (["simulate", "--study", "nope", "--out", "{d}/study"],
-                      "study must be aft, cox-dependent, or cox-independent"),
+                      "study must be one of aft, cox-dependent, cox-independent, not 'nope'"),
     "split fraction above 1": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
                                 "--test-out", "{d}/te.csv", "--fraction", "1.5"],
-                               "split fraction must be in (0, 1)"),
+                               "fraction must be in (0, 1), not 1.5"),
     **{f"predictions {case}": (["evaluate", "--input", "{d}/data.csv", "--output", "{d}/r.csv",
                                 "--predictions", f"{{d}}/{name}.csv"], message)
        for case, name, message in [
@@ -1070,22 +1107,22 @@ HOSTILE = {
                              "--grid-percentiles", "0.2,nan"],
                             "cannot parse number list '0.2,nan'"),
     "nan weight cap": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv", "--ipcw",
-                        "--weight-cap", "nan"], "weight_cap must be finite, not nan"),
+                        "--weight-cap", "nan"], "weight_cap must be in (1, inf), not nan"),
     "infinite weight cap": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                              "--ipcw", "--weight-cap", "1e400"],
-                            "weight_cap must be finite, not inf"),
+                            "weight_cap must be in (1, inf), not inf"),
     "infinite weight cap without ipcw": (["transform", "--input", "{d}/data.csv", "--output",
                                           "{d}/o.csv", "--weight-cap", "inf"],
-                                         "weight_cap must be finite, not inf"),
+                                         "weight_cap must be in (1, inf), not inf"),
     "infinite weight cap in config": (["train", "--config", "{d}/infcap.json", "--input",
                                        "{d}/data.csv", "--model-out", "{d}/m.json"],
-                                      "weight_cap must be finite, not inf"),
+                                      "weight_cap must be in (1, inf), not inf"),
     "infinite fraction": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
                            "--test-out", "{d}/te.csv", "--fraction=-inf"],
-                          "fraction must be finite, not -inf"),
+                          "fraction must be in (0, 1), not -inf"),
     "infinite unused grid percentile": (["transform", "--config", "{d}/inflist.json", "--input",
                                          "{d}/data.csv", "--output", "{d}/o.csv"],
-                                        "grid_percentiles must be finite, not [inf]"),
+                                        "cannot parse number list [inf] as finite numbers"),
     "grid time beyond float range": (["transform", "--config", "{d}/hugelist.json", "--input",
                                       "{d}/data.csv", "--output", "{d}/o.csv"],
                                      "cannot parse number list [1000"),
@@ -1110,10 +1147,10 @@ HOSTILE = {
                                 "--predictions", "{d}/pred.csv", "--times", "0.1,0.2"],
                                "--times applies only with --model"),
     "negative threads": (["train", "--input", "{d}/data.csv", "--model-out", "{d}/m.json",
-                          "--threads", "-3"], "threads must be 0 (all cores) or more"),
+                          "--threads", "-3"], "threads must be in 0..9223372036854775807, not -3"),
     "negative threads in config": (["train", "--config", "{d}/threads.json", "--input",
                                     "{d}/data.csv", "--model-out", "{d}/m.json"],
-                                   "threads must be 0 (all cores) or more"),
+                                   "threads must be in 0..9223372036854775807, not -1"),
     **{f"model {case}": (["predict", "--model", f"{{d}}/{case}.json", "--input", "{d}/data.csv",
                           "--output", "{d}/p.csv"], f"{{d}}/{case}.json: {message}")
        for case, (_, message) in BAD_MODELS.items()},
@@ -1131,11 +1168,34 @@ HOSTILE = {
     "train seed of 2**32": (["train", "--input", "{d}/data.csv", "--model-out", "{d}/m.json",
                              "--grid-times", "2.5", "--folds", "2", "--seed", "4294967296"],
                             "seed must be in 0..4294967295, not 4294967296"),
+    # an option is checked before the input is read: the seed, not the missing file, is named
+    "train seed of 2**32 on a missing input": (["train", "--input", "{d}/missing.csv",
+                                                "--model-out", "{d}/m.json",
+                                                "--seed", "4294967296"],
+                                               "seed must be in 0..4294967295, not 4294967296"),
+    "nan grid time on a missing input": (["transform", "--input", "{d}/missing.csv", "--output",
+                                          "{d}/o.csv", "--grid-times", "nan"],
+                                         "cannot parse number list 'nan'"),
+    "simulate seed of -1": (["simulate", "--seed", "-1", "--n", "100", "--replicates", "1",
+                             "--out", "{d}/s1"], "seed must be in 0..4294967295, not -1"),
+    "simulate epochs 0 with net": (["simulate", "--epochs", "0", "--with-net", "--n", "100",
+                                    "--replicates", "1", "--out", "{d}/s2"],
+                                   "epochs must be in 1..9223372036854775807, not 0"),
+    **{f"train {flag} {value}": (["train", "--input", "{d}/data.csv", "--model-out", "{d}/m.json",
+                                  f"--{flag}", value], message)
+       for flag, value, message in [
+           ("folds", "1", "folds must be in 2..9223372036854775807, not 1"),
+           ("budget", "0", "budget must be in 1..2520, not 0"),
+           ("budget", "2521", "budget must be in 1..2520, not 2521"),
+           ("batch-size", "0", "batch_size must be in 1..9223372036854775807, not 0")]},
+    "transform weight cap 1": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
+                                "--ipcw", "--weight-cap", "1"],
+                               "weight_cap must be in (1, inf), not 1.0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
-def test_hostile_invocation_exits_2(tmp_path, capsys, strict_json, case):
+def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     args, message = HOSTILE[case]
     (tmp_path / "dir").mkdir()
     write_csv(tmp_path / "data.csv", [["time", "event", "z_1"], ["1", "1", "0.5"], ["2", "0", "-1"],
@@ -1171,8 +1231,7 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, strict_json, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(d=tmp_path) in err
     assert err.count("\n") == 1 and "Traceback" not in err
-    for path in set(tmp_path.rglob("*.json")) - inputs:
-        strict_json(path)
+    assert set(tmp_path.rglob("*")) == inputs  # a refused run leaves no output behind
 
 
 # arguments, with {d} for a directory that holds huge.csv and huge10.csv (6 and 10 subjects,
@@ -1219,6 +1278,7 @@ def test_hostile_invocation_exits_3(tmp_path, capsys, case):
                                [[(-1.0) ** k] for k in range(len(second))]],
                       covariate_names=["z"])
     (tmp_path / "overflow.json").write_text(json.dumps(overflow))
+    inputs = set(tmp_path.rglob("*"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([arg.format(d=tmp_path) for arg in args]) == 3
@@ -1227,6 +1287,7 @@ def test_hostile_invocation_exits_3(tmp_path, capsys, case):
     assert err.startswith("numeric failure: ") and message in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert set(tmp_path.rglob("*")) == inputs
 
 
 def test_library_warning_prints_one_line(tmp_path):

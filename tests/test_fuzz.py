@@ -1,9 +1,11 @@
-"""Hostile dataset, prediction, model and config files, run in-process through ``cli.main``.
+"""Hostile dataset, prediction, model and config files and ``simulate`` options, run
+in-process through ``cli.main``.
 
-Hypothesis draws the files; the search is derandomized, so every run tries
-the same cases.  Whatever a file holds, the run exits 0, 2 or 3, prints
-only ``error:``, ``numeric failure:`` or ``warning:`` lines and no traceback,
-lets no RuntimeWarning escape and writes only strict JSON.
+Hypothesis draws the files and options; the search is derandomized, so every
+run tries the same cases.  Whatever they hold, the run exits 0, 2 or 3,
+prints only ``error:``, ``numeric failure:`` or ``warning:`` lines and no
+traceback, lets no RuntimeWarning escape and writes only strict JSON.  A run
+that exits 2 or 3 prints one line and leaves no path beyond its inputs.
 """
 
 import contextlib
@@ -60,6 +62,8 @@ def _run(root: Path, files: dict, argv: list, strict_json) -> int:
         lines = err.getvalue().splitlines()
         assert all(line.startswith(STDERR_PREFIXES) for line in lines), lines
         assert "Traceback" not in err.getvalue()
+        if code:
+            assert len(lines) == 1 and {p.name for p in d.rglob("*")} == set(files)
         for path in d.rglob("*.json"):
             if path.name not in files:
                 strict_json(path)
@@ -182,3 +186,21 @@ def test_dataset_files(inputs, strict_json, argv, file, data):
     column = data.draw(st.sampled_from(names or ["z"]))
     _run(inputs, {"data.csv": text},
          [arg.replace("{c}", column) for arg in argv] + ["--input", "{d}/data.csv"], strict_json)
+
+
+# each option drawn from admissible values or from hostile ones: study names, censoring rates
+# (the hostile cells) and seeds at and past both ends of 0..4294967295
+STUDIES = st.sampled_from(["aft", "cox-dependent", "cox-independent"]) | st.sampled_from(
+    ["", "nope", "AFT", "cox"])
+RATES = st.sampled_from(["0.2", "0.5"]) | st.sampled_from(CELLS)
+SEEDS = st.sampled_from(["0", "4294967295"]) | st.sampled_from(["-1", "4294967296"])
+
+
+@settings(SETTINGS, max_examples=60)  # within 5 s: small studies and searches, two workers
+@given(study=STUDIES, n=st.integers(1, 50), replicates=st.integers(1, 3), rate=RATES,
+       seed=SEEDS, threads=st.sampled_from("12"))
+def test_simulate_options(inputs, strict_json, study, n, replicates, rate, seed, threads):
+    _run(inputs, {}, ["simulate", "--study", study, "--n", str(n), "--replicates", str(replicates),
+                      "--censoring-rate", rate, "--seed", seed, "--threads", threads,
+                      "--budget", "1", "--folds", "2", "--epochs", "1", "--out", "{d}/study"],
+         strict_json)

@@ -93,6 +93,11 @@ MATRIX = [
      "--grid-times", "1,2,3"],
     ["transform", "--input", "boundary/cohort.csv", "--output", "boundary/pseudo_ipcw.csv",
      "--ipcw", "--grid-times", "1,2,3"],
+    # more threads than a 2-CPU machine has: the pool is capped at the usable CPUs
+    ["train", "--input", "boundary/cohort.csv", "--model-out", "boundary/model_threads3.json",
+     "--grid-times", "1,2,3", *_SMALL, "--threads", "3"],
+    ["simulate", "--study", "cox-independent", "--replicates", "3", "--n", "200", "--seed", "1",
+     "--out", "studies/threads3", "--threads", "3"],
 ]
 
 
