@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from dataclasses import replace
@@ -38,24 +37,23 @@ from .data import (
 from .errors import DataError, NumericError
 from .util import derived_seed, one_blas_thread, parallel_map, usable_cpus
 
-
-def _budgets() -> range:
-    """1 to the size of the search grid, counted without building it."""
-    from .net import GRID_VALUES, HIDDEN_WIDTHS
-    layouts = len(HIDDEN_WIDTHS) + len(HIDDEN_WIDTHS) ** 2  # one and two hidden layers
-    return range(1, layouts * math.prod(map(len, GRID_VALUES.values())) + 1)
-
-
-# option: (default, admissible values): a range, a tuple of choices, a float interval "(lo, hi)"
-# or "[lo, hi)", a function that returns one of these (net loads only where it is searched), or
-# None for any value of the default's type
-_PSEUDO = {"grid_percentiles": ("0.1,0.2,0.3,0.4,0.5,0.6", None), "grid_times": (None, None),
-           "ipcw": (False, None), "censor_covariates": (None, None),
-           "weight_cap": (20.0, "(1, inf)"), "drop_incomplete": (False, None)}
-_SIZES = sys.maxsize + 1  # a length or an index fits a C ssize_t
-_SEARCH = {"budget": (20, _budgets), "folds": (5, range(2, _SIZES)),
-           "epochs": (100, range(1, _SIZES)), "batch_size": (256, range(1, _SIZES)),
-           "seed": (0, range(2**32)), "threads": (0, range(_SIZES))}
+_PSEUDO = {
+    "grid_percentiles": "0.1,0.2,0.3,0.4,0.5,0.6",
+    "grid_times": None,
+    "ipcw": False,
+    "censor_covariates": None,
+    "weight_cap": 20.0,
+    "drop_incomplete": False,
+}
+_SEARCH = {"budget": 20, "folds": 5, "epochs": 100, "batch_size": 256, "seed": 0, "threads": 0}
+_SIZES = sys.maxsize + 1  # a count is a C ssize_t, as lengths and indices are
+# the values an option admits, alike in every command that takes it: a range, a tuple of choices
+# or a float interval "[lo, hi)" or "(lo, hi)"; --budget's range is the search grid's size
+_ADMITS = {"seed": range(2**32), "folds": range(2, _SIZES), "epochs": range(1, _SIZES),
+           "batch_size": range(1, _SIZES), "threads": range(_SIZES), "n": range(1, _SIZES),
+           "replicates": range(1, _SIZES // 8),  # a list holds at most sys.maxsize // 8 items
+           "study": ("aft", "cox-dependent", "cox-independent"), "censoring_rate": "[0, 1)",
+           "weight_cap": "(1, inf)", "fraction": "(0, 1)"}
 # text options that a config file may also give as a JSON list, with the item type
 _LISTS = {"grid_percentiles": (int, float), "grid_times": (int, float), "times": (int, float),
           "censor_covariates": str}
@@ -129,7 +127,7 @@ def _check(key: str, value, admits) -> None:
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, each checked before any input is read."""
     *_, required, options = _COMMANDS[command]
-    resolved = {**dict.fromkeys(required), **{key: d for key, (d, _) in options.items()}}
+    resolved = {**dict.fromkeys(required), **options}
     if args.config == "":
         raise DataError("--config is empty")
     if args.config:
@@ -142,9 +140,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     for key, kind in _LISTS.items():  # config.json stores a number list the run does not use too
         if kind is not str and resolved.get(key):
             _parse_floats(resolved[key])
-    for key, (_, admits) in options.items():
-        if admits is not None:
-            _check(key, resolved[key], admits() if callable(admits) else admits)
+    for key, admits in _ADMITS.items():
+        if key in resolved:
+            _check(key, resolved[key], admits)
+    if "budget" in resolved:  # net, which sizes the grid, loads only for the commands that search
+        from .net import GRID_SIZE
+        _check("budget", resolved["budget"], range(1, GRID_SIZE + 1))
     for key in ("model", "predictions"):
         if resolved.get(key) == "":
             raise DataError(f"--{key} is empty")
@@ -160,6 +161,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise DataError(f"--censoring-rate must be above 0: the {study} study models censoring")
     if study == "aft" and resolved["n"] < 2:
         raise DataError("n must be at least 2: one subject has no variance to rescale by")
+    if command == "simulate" and (out := Path(resolved["out"])).exists() and not out.is_dir():
+        raise DataError(f"--out {out} is not a directory")  # a study writes it when it ends
     if "threads" in resolved:  # 0 is every usable CPU, and a worker beyond them only waits
         resolved["threads"] = min(resolved["threads"] or usable_cpus(), usable_cpus())
     return resolved
@@ -366,27 +369,23 @@ def cmd_simulate(resolved: dict) -> None:
     _write_config(resolved, "simulate", out_dir)
 
 
-# command: (help, handler, required path options, options with their defaults and admissible
-# values); every command also takes --config.  This table is each command's whole interface: its
-# flags, the keys of its config.json (all but threads), by each default their types, and the
+# command: (help, handler, required path options, options with their defaults);
+# every command also takes --config.  This table and _ADMITS are each command's whole interface:
+# its flags, the keys of its config.json (all but threads), by each default their types, and the
 # values each admits.
 _COMMANDS = {
     "transform": ("build the pseudo-value table CSV", cmd_transform, ("input", "output"), _PSEUDO),
     "train": ("hyperparameter search, fit, and persist the model", cmd_train,
               ("input", "model_out"), {**_PSEUDO, **_SEARCH}),
     "predict": ("per-subject conditional and marginal survival", cmd_predict,
-                ("model", "input", "output"), {"drop_incomplete": (False, None)}),
+                ("model", "input", "output"), {"drop_incomplete": False}),
     "evaluate": ("c-index and Brier score report", cmd_evaluate, ("input", "output"),
-                 {"predictions": (None, None), "model": (None, None), "times": (None, None),
-                  "drop_incomplete": (False, None)}),
+                 {"predictions": None, "model": None, "times": None, "drop_incomplete": False}),
     "simulate": ("run a synthetic study end to end", cmd_simulate, ("out",),
-                 {"study": ("cox-dependent", ("aft", "cox-dependent", "cox-independent")),
-                  "replicates": (10, range(1, 10_001)), "n": (2000, range(1, 1_000_001)),
-                  "censoring_rate": (0.4, "[0, 1)"), "with_net": (False, None),
-                  "emit_data": (False, None), **_SEARCH}),
+                 {"study": "cox-dependent", "replicates": 10, "n": 2000, "censoring_rate": 0.4,
+                  "with_net": False, "emit_data": False, **_SEARCH}),
     "split": ("seeded train/test split of a dataset CSV", cmd_split,
-              ("input", "train_out", "test_out"),
-              {"fraction": (0.75, "(0, 1)"), "seed": _SEARCH["seed"]}),
+              ("input", "train_out", "test_out"), {"fraction": 0.75, "seed": 0}),
 }
 
 
@@ -407,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, handler, required, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="resolved-config JSON to replay")
-        for name, (default, _) in {**dict.fromkeys(required, (None, None)), **options}.items():
+        for name, default in {**dict.fromkeys(required), **options}.items():
             flag = "--" + name.replace("_", "-")
             if isinstance(default, bool):
                 p.add_argument(flag, dest=name, action="store_const", const=True)

@@ -28,6 +28,8 @@ from .pseudo import PseudoTable, TimeGrid, pseudo_conditional
 from .util import derived_rng, derived_seed, freeze, one_blas_thread, parallel_map
 
 HIDDEN_WIDTHS = (4, 8, 16, 32, 64, 128)
+# the hidden layer layouts of the search grid: one or two layers
+LAYOUTS = (*((w,) for w in HIDDEN_WIDTHS), *itertools.product(HIDDEN_WIDTHS, repeat=2))
 # the admissible values of the other grid fields, in search-grid and MlpConfig field order
 GRID_VALUES = {
     "activation": ("relu", "tanh"),
@@ -36,6 +38,7 @@ GRID_VALUES = {
     "learning_rate": (0.001, 0.005, 0.01),
     "optimizer": ("adam", "sgd_momentum"),
 }
+GRID_SIZE = len(LAYOUTS) * math.prod(map(len, GRID_VALUES.values()))  # 2520 configurations
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,8 @@ class MlpConfig:
 
     def __post_init__(self):
         layers = tuple(map(int, self.hidden_layers))
-        if len(layers) not in (1, 2):
-            raise DataError("hidden_layers must have one or two layers")
-        if any(w not in HIDDEN_WIDTHS for w in layers):
-            raise DataError(f"hidden widths must be among {HIDDEN_WIDTHS}")
+        if layers not in LAYOUTS:
+            raise DataError(f"hidden_layers must be one or two widths among {HIDDEN_WIDTHS}")
         kind, value = self.regularization  # a model file gives a list
         for name, allowed in GRID_VALUES.items():
             if ((kind, value) if name == "regularization" else getattr(self, name)) not in allowed:
@@ -92,11 +93,9 @@ class MlpConfig:
 
 
 def default_grid(epochs: int = 100, batch_size: int = 256) -> list[MlpConfig]:
-    """The full Cartesian search grid (2520 configurations), a fresh list per call."""
-    layouts = [(w,) for w in HIDDEN_WIDTHS]
-    layouts += [(w1, w2) for w1 in HIDDEN_WIDTHS for w2 in HIDDEN_WIDTHS]
+    """The full Cartesian search grid (GRID_SIZE configurations), a fresh list per call."""
     return [MlpConfig(*values, epochs=epochs, batch_size=batch_size)
-            for values in itertools.product(layouts, *GRID_VALUES.values())]
+            for values in itertools.product(LAYOUTS, *GRID_VALUES.values())]
 
 
 @dataclass

@@ -1075,13 +1075,14 @@ HOSTILE = {
                                         "{d}/data.csv", "--output", "{d}/p.csv"],
                                        "covariate 'z_1' is named twice"),
     "zero replicates": (["simulate", "--replicates", "0", "--out", "{d}/study"],
-                        "replicates must be in 1..10000, not 0"),
+                        "replicates must be in 1..1152921504606846975, not 0"),
     "replicates beyond ssize_t": (["simulate", "--replicates", "100000000000000000000", "--n",
                                    "40", "--out", "{d}/study"],
-                                  "replicates must be in 1..10000, not 100000000000000000000"),
+                                  "replicates must be in 1..1152921504606846975, "
+                                  "not 100000000000000000000"),
     "replicates beyond ssize_t in config": (["simulate", "--config", "{d}/bigint.json", "--n",
                                              "40", "--out", "{d}/study"],
-                                            "replicates must be in 1..10000, "
+                                            "replicates must be in 1..1152921504606846975, "
                                             "not 100000000000000000000"),
     "config integer of 5 000 digits": (["train", "--config", "{d}/digits.json", "--input",
                                         "{d}/data.csv", "--model-out", "{d}/m.json"],
@@ -1188,6 +1189,15 @@ HOSTILE = {
            ("budget", "0", "budget must be in 1..2520, not 0"),
            ("budget", "2521", "budget must be in 1..2520, not 2521"),
            ("batch-size", "0", "batch_size must be in 1..9223372036854775807, not 0")]},
+    # a study lists its replicate numbers, and a list holds at most sys.maxsize // 8 items
+    "replicates beyond a list's length": (["simulate", "--replicates", "1152921504606846976",
+                                           "--n", "40", "--out", "{d}/study"],
+                                          "replicates must be in 1..1152921504606846975, "
+                                          "not 1152921504606846976"),
+    # a study writes --out when its last replicate ends, so an --out it cannot make is refused
+    # before the first one starts
+    "simulate out names a file": (["simulate", "--n", "40", "--replicates", "1", "--out",
+                                   "{d}/data.csv"], "--out {d}/data.csv is not a directory"),
     "transform weight cap 1": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                                 "--ipcw", "--weight-cap", "1"],
                                "weight_cap must be in (1, inf), not 1.0"),
