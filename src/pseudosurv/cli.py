@@ -161,8 +161,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise DataError(f"--censoring-rate must be above 0: the {study} study models censoring")
     if study == "aft" and resolved["n"] < 2:
         raise DataError("n must be at least 2: one subject has no variance to rescale by")
-    if command == "simulate" and (out := Path(resolved["out"])).exists() and not out.is_dir():
-        raise DataError(f"--out {out} is not a directory")  # a study writes it when it ends
+    if command == "simulate":  # a study makes --out when it ends: refuse one it cannot make now
+        out = Path(resolved["out"])
+        at = next(path for path in (out, *out.parents) if path.exists())
+        if not at.is_dir():
+            raise DataError(f"--out {out}: {at} is not a directory")
     if "threads" in resolved:  # 0 is every usable CPU, and a worker beyond them only waits
         resolved["threads"] = min(resolved["threads"] or usable_cpus(), usable_cpus())
     return resolved

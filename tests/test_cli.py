@@ -1197,7 +1197,11 @@ HOSTILE = {
     # a study writes --out when its last replicate ends, so an --out it cannot make is refused
     # before the first one starts
     "simulate out names a file": (["simulate", "--n", "40", "--replicates", "1", "--out",
-                                   "{d}/data.csv"], "--out {d}/data.csv is not a directory"),
+                                   "{d}/data.csv"],
+                                  "--out {d}/data.csv: {d}/data.csv is not a directory"),
+    "simulate out inside a file": (["simulate", "--n", "40", "--replicates", "1", "--out",
+                                    "{d}/data.csv/study"],
+                                   "--out {d}/data.csv/study: {d}/data.csv is not a directory"),
     "transform weight cap 1": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                                 "--ipcw", "--weight-cap", "1"],
                                "weight_cap must be in (1, inf), not 1.0"),
