@@ -54,6 +54,8 @@ _ADMITS = {"seed": range(2**32), "folds": range(2, _SIZES), "epochs": range(1, _
            "replicates": range(1, _SIZES // 8),  # a list holds at most sys.maxsize // 8 items
            "study": ("aft", "cox-dependent", "cox-independent"), "censoring_rate": "[0, 1)",
            "weight_cap": "(1, inf)", "fraction": "(0, 1)"}
+# the options that name an output; a command's config.json goes next to the first it takes
+_OUTPUTS = ("output", "model_out", "train_out", "test_out", "out")
 # text options that a config file may also give as a JSON list, with the item type
 _LISTS = {"grid_percentiles": (int, float), "grid_times": (int, float), "times": (int, float),
           "censor_covariates": str}
@@ -161,17 +163,21 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise DataError(f"--censoring-rate must be above 0: the {study} study models censoring")
     if study == "aft" and resolved["n"] < 2:
         raise DataError("n must be at least 2: one subject has no variance to rescale by")
-    if command == "simulate":  # a study makes --out when it ends: refuse one it cannot make now
-        out = Path(resolved["out"])
-        at = next(path for path in (out, *out.parents) if path.exists())
+    for key in (key for key in _OUTPUTS if key in resolved):
+        path = Path(resolved[key])
+        if key != "out" and path.is_dir():  # the other outputs are files
+            raise DataError(f"Is a directory: {resolved[key]!r}")
+        # a study makes --out and the parents it lacks; no command makes any other directory
+        at = next(p for p in (path, *path.parents) if p.exists()) if key == "out" else path.parent
         if not at.is_dir():
-            raise DataError(f"--out {out}: {at} is not a directory")
+            raise DataError(f"--{key.replace('_', '-')} {path}: {at} is not a directory")
     if "threads" in resolved:  # 0 is every usable CPU, and a worker beyond them only waits
         resolved["threads"] = min(resolved["threads"] or usable_cpus(), usable_cpus())
     return resolved
 
 
-def _write_config(resolved: dict, command: str, anchor: Path) -> None:
+def _write_config(resolved: dict, command: str) -> None:
+    anchor = Path(next(resolved[key] for key in _OUTPUTS if key in resolved))
     payload = {"command": command, "version": __version__}
     # threads is an execution detail: results are independent of it by design
     payload.update({k: v for k, v in resolved.items() if k != "threads"})
@@ -221,7 +227,6 @@ def cmd_transform(resolved: dict) -> None:
         "censoring_model": weight_summary,
     }
     write_json(out.with_suffix(out.suffix + ".meta.json"), meta, indent=2)
-    _write_config(resolved, "transform", out)
 
 
 def cmd_train(resolved: dict) -> None:
@@ -231,9 +236,7 @@ def cmd_train(resolved: dict) -> None:
     _, model = grid_search(table, data, configs, k=resolved["folds"], eval_times=grid,
                            budget=resolved["budget"], seed=resolved["seed"],
                            n_jobs=resolved["threads"])
-    out = Path(resolved["model_out"])
-    save_model(model, out)
-    _write_config(resolved, "train", out)
+    save_model(model, resolved["model_out"])
 
 
 def _model_covariates(model, data: Dataset) -> np.ndarray:
@@ -254,11 +257,9 @@ def cmd_predict(resolved: dict) -> None:
     data = load_dataset(resolved["input"], drop_incomplete=resolved["drop_incomplete"])
     cond = predict_conditional_matrix(model, _model_covariates(model, data))
     marg = np.cumprod(cond, axis=1)
-    out = Path(resolved["output"])
     J = model.n_intervals
     header = ["id"] + [f"cond_{j}" for j in range(J)] + [f"marg_{j}" for j in range(J)]
-    write_csv(out, header, [np.arange(len(data)), *cond.T, *marg.T])
-    _write_config(resolved, "predict", out)
+    write_csv(resolved["output"], header, [np.arange(len(data)), *cond.T, *marg.T])
 
 
 def cmd_evaluate(resolved: dict) -> None:
@@ -278,7 +279,6 @@ def cmd_evaluate(resolved: dict) -> None:
     out = Path(resolved["output"])
     report.to_csv(out)
     report.to_json(out.with_suffix(out.suffix + ".json"))
-    _write_config(resolved, "evaluate", out)
 
 
 def cmd_split(resolved: dict) -> None:
@@ -286,7 +286,6 @@ def cmd_split(resolved: dict) -> None:
     train_part, test_part = split_dataset(data, resolved["fraction"], seed=resolved["seed"])
     save_dataset(train_part, resolved["train_out"])
     save_dataset(test_part, resolved["test_out"])
-    _write_config(resolved, "split", Path(resolved["train_out"]))
 
 
 def _scores(label: str, report) -> dict:
@@ -369,7 +368,6 @@ def cmd_simulate(resolved: dict) -> None:
     means = [np.mean(values[c]) for c in stats] + [np.mean((values[c] - 1.0) ** 2) for c in mse]
     sds = [format(np.std(values[c]), ".6g") for c in stats] + [""] * len(mse)
     write_csv(out_dir / "summary.csv", ["quantity", "mean", "sd"], [names, np.array(means), sds])
-    _write_config(resolved, "simulate", out_dir)
 
 
 # command: (help, handler, required path options, options with their defaults);
@@ -429,8 +427,9 @@ def main(argv=None) -> int:
         resolved = _resolve(args.command, args)
         with one_blas_thread():  # the workers, not BLAS, take the cores
             args.func(resolved)
-    except (DataError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_config(resolved, args.command)
+    except (DataError, OSError, UnicodeDecodeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

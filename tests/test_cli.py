@@ -1040,7 +1040,8 @@ def test_hand_written_model_predicts(tmp_path):
 
 
 # arguments, with {d} for a directory holding data.csv (5 subjects), early.csv (12 subjects,
-# the two events first), header.csv (no rows), an empty directory dir, malformed models,
+# the two events first), header.csv (no rows), an empty directory dir, model.json (a valid
+# model for data.csv), malformed models,
 # prediction files pred.csv, noid.csv (no id column), abc.csv (a column not named by a time),
 # short.csv (4 rows), inf.csv (first cell inf) and infcol.csv (a column named inf), twice.csv
 # (5 subjects, z_1 twice in the header), twice.json (a model naming z_1 twice), and config
@@ -1205,6 +1206,27 @@ HOSTILE = {
     "transform weight cap 1": (["transform", "--input", "{d}/data.csv", "--output", "{d}/o.csv",
                                 "--ipcw", "--weight-cap", "1"],
                                "weight_cap must be in (1, inf), not 1.0"),
+    # every output is checked before any input is read: its directory must exist, and a file
+    # output must not be a directory
+    "train model-out in a missing directory": (["train", "--input", "{d}/data.csv", "--model-out",
+                                                "{d}/missing/m.json"],
+                                               "--model-out {d}/missing/m.json: {d}/missing is "
+                                               "not a directory"),
+    "transform output in a missing directory": (["transform", "--input", "{d}/data.csv",
+                                                 "--output", "{d}/missing/p.csv"],
+                                                "--output {d}/missing/p.csv: {d}/missing is "
+                                                "not a directory"),
+    "predict output directory": (["predict", "--model", "{d}/model.json", "--input",
+                                  "{d}/data.csv", "--output", "{d}/dir"],
+                                 "Is a directory: '{d}/dir'"),
+    "evaluate output in a missing directory": (["evaluate", "--input", "{d}/data.csv",
+                                                "--predictions", "{d}/pred.csv", "--output",
+                                                "{d}/missing/e.csv"],
+                                               "--output {d}/missing/e.csv: {d}/missing is "
+                                               "not a directory"),
+    # split writes no train file when its test path is refused
+    "split test-out directory": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
+                                  "--test-out", "{d}/dir"], "Is a directory: '{d}/dir'"),
 }
 
 
@@ -1215,6 +1237,7 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     write_csv(tmp_path / "data.csv", [["time", "event", "z_1"], ["1", "1", "0.5"], ["2", "0", "-1"],
                                       ["3", "1", "0.2"], ["4", "1", "1.1"], ["5", "0", "0.3"]])
     (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "model.json").write_text(json.dumps(_model()))
     (tmp_path / "v2.json").write_text('{"format_version": 2}')
     (tmp_path / "threads.json").write_text('{"threads": -1}')
     write_csv(tmp_path / "pred.csv", [["id", "2.5"]] + [[str(i), "0.5"] for i in range(5)])
@@ -1246,6 +1269,39 @@ def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and message.format(d=tmp_path) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert set(tmp_path.rglob("*")) == inputs  # a refused run leaves no output behind
+
+
+@pytest.mark.parametrize("argv", [["train", "--model-out", "{d}/missing/m.json"],
+                                  ["transform", "--output", "{d}/missing/p.csv"]], ids=" ".join)
+def test_refused_output_does_no_work(tmp_path, capsys, monkeypatch, argv):
+    """An output that cannot be written is refused before the pseudo values or the search."""
+    def work(*args, **kwargs):
+        pytest.fail("the run began its work before refusing its output")
+    monkeypatch.setattr("pseudosurv.pseudo.pseudo_conditional", work)
+    monkeypatch.setattr("pseudosurv.net.grid_search", work)
+    save_dataset(gen_cox(CoxSimSpec(n=50, seed=1)), tmp_path / "d.csv")
+    assert main([arg.format(d=tmp_path) for arg in argv]
+                + ["--input", str(tmp_path / "d.csv")]) == 2
+    assert f"{tmp_path}/missing is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "not enough memory"),
+    (MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and "
+                 "data type float64"), "Unable to allocate 8.00 TiB for an array with shape"),
+])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc, message):
+    """A run that asks for more memory than the machine holds prints one ``error:`` line; the
+    replicates' map raises as ``--replicates 2**40`` did, without allocating anything."""
+    def map_replicates(*args):
+        raise exc
+    monkeypatch.setattr("pseudosurv.cli.parallel_map", map_replicates)
+    assert main(["simulate", "--n", "40", "--replicates", "2", "--out",
+                 str(tmp_path / "study")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "study").exists()
 
 
 # arguments, with {d} for a directory that holds huge.csv and huge10.csv (6 and 10 subjects,

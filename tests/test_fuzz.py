@@ -47,12 +47,16 @@ def inputs(tmp_path_factory):
 
 
 def _run(root: Path, files: dict, argv: list, strict_json) -> int:
-    """Write ``files`` into a fresh directory, run ``argv`` there ({d} is the directory) and
-    check the contract; the exit code."""
+    """Write ``files`` into a fresh directory (a name whose text is None is an empty
+    directory), run ``argv`` there ({d} is the directory) and check the contract; the exit
+    code."""
     with tempfile.TemporaryDirectory(dir=root) as tmp:
         d = Path(tmp)
         for name, text in files.items():
-            (d / name).write_text(text)
+            if text is None:
+                (d / name).mkdir()
+            else:
+                (d / name).write_text(text)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
@@ -204,3 +208,31 @@ def test_simulate_options(inputs, strict_json, study, n, replicates, rate, seed,
                       "--censoring-rate", rate, "--seed", seed, "--threads", threads,
                       "--budget", "1", "--folds", "2", "--epochs", "1", "--out", "{d}/study"],
          strict_json)
+
+
+# each command with its output options and its other arguments, on data.csv and model.json
+OUTPUT_COMMANDS = [
+    ("transform", ["--output"], ["--input", "{root}/data.csv"]),
+    ("train", ["--model-out"], ["--input", "{root}/data.csv", "--grid-times", "2.5,5,7.5",
+                                "--budget", "1", "--folds", "2", "--epochs", "1", "--threads", "1"]),
+    ("predict", ["--output"], ["--model", "{root}/model.json", "--input", "{root}/data.csv"]),
+    ("evaluate", ["--output"], ["--model", "{root}/model.json", "--input", "{root}/data.csv"]),
+    ("split", ["--train-out", "--test-out"], ["--input", "{root}/data.csv"]),
+    ("simulate", ["--out"], ["--n", "40", "--replicates", "1", "--threads", "1"]),
+]
+# an output path: new, an existing file, an existing directory, in a missing directory and
+# under a file, with those refused for a file output and for simulate's directory
+OUTPUT_PATHS = ["{d}/new.csv", "{d}/file.csv", "{d}/dir", "{d}/missing/o.csv", "{d}/file.csv/o"]
+REFUSED = {"file": OUTPUT_PATHS[2:], "directory": ["{d}/file.csv", "{d}/file.csv/o"]}
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=st.sampled_from(OUTPUT_COMMANDS), data=st.data())
+def test_output_paths(inputs, strict_json, case, data):
+    command, flags, argv = case
+    paths = [data.draw(st.sampled_from(OUTPUT_PATHS)) for _ in flags]
+    refused = REFUSED["directory" if command == "simulate" else "file"]
+    code = _run(inputs, {"file.csv": "old\n", "dir": None},
+                [command, *argv, *(arg for pair in zip(flags, paths) for arg in pair)],
+                strict_json)
+    assert code == (2 if set(paths) & set(refused) else 0)
