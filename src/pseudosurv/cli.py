@@ -54,8 +54,11 @@ _ADMITS = {"seed": range(2**32), "folds": range(2, _SIZES), "epochs": range(1, _
            "replicates": range(1, _SIZES // 8),  # a list holds at most sys.maxsize // 8 items
            "study": ("aft", "cox-dependent", "cox-independent"), "censoring_rate": "[0, 1)",
            "weight_cap": "(1, inf)", "fraction": "(0, 1)"}
-# the options that name an output; a command's config.json goes next to the first it takes
+# the options that name an input or an output, and the files a command writes beside its first
+# output: its config.json, and transform's metadata and evaluate's report as JSON
+_INPUTS = ("input", "model", "predictions")
 _OUTPUTS = ("output", "model_out", "train_out", "test_out", "out")
+_SIDE_FILES = {"transform": ("config.json", "meta.json"), "evaluate": ("config.json", "json")}
 # text options that a config file may also give as a JSON list, with the item type
 _LISTS = {"grid_percentiles": (int, float), "grid_times": (int, float), "times": (int, float),
           "censor_covariates": str}
@@ -98,11 +101,10 @@ def _read_config(path, command: str, defaults: dict) -> dict:
         )
     # configs written before each command stored only its own options also hold the other
     # commands' paths as null, and a seed that the commands without one never read
-    paths = {key for _, _, required, _ in _COMMANDS.values() for key in required}
     options = {}
     for key, value in stored.items():
         if key not in defaults:
-            if key in ("command", "version", "seed") or key in paths and value is None:
+            if key in ("command", "version", "seed") or key in _INPUTS + _OUTPUTS and value is None:
                 continue
             raise DataError(f"{path}: unknown key {key!r}")
         if not _accepts(key, defaults[key], value):
@@ -163,6 +165,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise DataError(f"--censoring-rate must be above 0: the {study} study models censoring")
     if study == "aft" and resolved["n"] < 2:
         raise DataError("n must be at least 2: one subject has no variance to rescale by")
+    for key in (key for key in _INPUTS + _OUTPUTS if "\0" in (resolved.get(key) or "")):
+        raise DataError(f"--{key.replace('_', '-')} {resolved[key]!r} holds a NUL character")
     for key in (key for key in _OUTPUTS if key in resolved):
         path = Path(resolved[key])
         if key != "out" and path.is_dir():  # the other outputs are files
@@ -171,18 +175,26 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         at = next(p for p in (path, *path.parents) if p.exists()) if key == "out" else path.parent
         if not at.is_dir():
             raise DataError(f"--{key.replace('_', '-')} {path}: {at} is not a directory")
+    for name in _SIDE_FILES.get(command, ("config.json",)):
+        if (path := _side_file(resolved, name)).is_dir():
+            raise DataError(f"Is a directory: {str(path)!r}")
     if "threads" in resolved:  # 0 is every usable CPU, and a worker beyond them only waits
         resolved["threads"] = min(resolved["threads"] or usable_cpus(), usable_cpus())
     return resolved
 
 
+def _side_file(resolved: dict, name: str) -> Path:
+    """The side file ``name`` of a command: ``<first output>.<name>``, or ``<out>/<name>`` in a
+    study's directory."""
+    first = Path(next(resolved[key] for key in _OUTPUTS if key in resolved))
+    return first / name if "out" in resolved else Path(f"{first}.{name}")
+
+
 def _write_config(resolved: dict, command: str) -> None:
-    anchor = Path(next(resolved[key] for key in _OUTPUTS if key in resolved))
     payload = {"command": command, "version": __version__}
     # threads is an execution detail: results are independent of it by design
     payload.update({k: v for k, v in resolved.items() if k != "threads"})
-    path = anchor / "config.json" if anchor.is_dir() else Path(str(anchor) + ".config.json")
-    write_json(path, payload, indent=2, sort_keys=True)
+    write_json(_side_file(resolved, "config.json"), payload, indent=2, sort_keys=True)
 
 
 def _censor_names(resolved: dict):
@@ -215,8 +227,7 @@ def _pseudo_table(resolved: dict):
 
 def cmd_transform(resolved: dict) -> None:
     data, grid, table, weight_summary = _pseudo_table(resolved)
-    out = Path(resolved["output"])
-    table.to_csv(out)
+    table.to_csv(resolved["output"])
     meta = {
         "n": len(data),
         "n_rows": len(table),
@@ -226,7 +237,7 @@ def cmd_transform(resolved: dict) -> None:
         "ipcw": resolved["ipcw"],
         "censoring_model": weight_summary,
     }
-    write_json(out.with_suffix(out.suffix + ".meta.json"), meta, indent=2)
+    write_json(_side_file(resolved, "meta.json"), meta, indent=2)
 
 
 def cmd_train(resolved: dict) -> None:
@@ -276,9 +287,8 @@ def cmd_evaluate(resolved: dict) -> None:
         report = evaluate_predictions(data, pred, times)
     if not np.isfinite(report.brier).all():
         raise NumericError("a Brier score overflows: predictions lie far outside [0, 1]")
-    out = Path(resolved["output"])
-    report.to_csv(out)
-    report.to_json(out.with_suffix(out.suffix + ".json"))
+    report.to_csv(resolved["output"])
+    report.to_json(_side_file(resolved, "json"))
 
 
 def cmd_split(resolved: dict) -> None:

@@ -8,18 +8,17 @@ yields a new dataset with fresh ids.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .util import derived_rng, distinct, freeze
+from .util import derived_rng, freeze
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
-_CHUNK_CELLS = 2048  # cells per float pass: bounds the row text held at once
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,12 @@ class Dataset:
 
 
 @contextmanager
-def _csv_reader(path):
-    """A ``csv.reader`` over ``path``.  A directory, an unreadable file, bytes that
-    do not decode or a field over the ``csv`` size limit raise a DataError naming the path."""
+def _open_csv(path):
+    """``path`` opened for ``csv``.  A directory, an unreadable file, bytes that do not decode
+    or a field over the ``csv`` size limit raise a DataError naming the path."""
     try:
         with open(path, newline="") as fh:
-            yield csv.reader(fh)
+            yield fh
     except (IsADirectoryError, PermissionError, UnicodeDecodeError, csv.Error) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise DataError(f"{path}: {reason}") from None
@@ -109,29 +108,20 @@ def _parse_cells(raw, row: int, names, finite: bool = False) -> list[float]:
     return values
 
 
-def _read_rows(reader, width: int, parse_row, block_ok) -> np.ndarray:
-    """The remaining rows of a ``csv.reader`` as one float matrix, a chunk per ``float`` pass.
+def _read_fields(fh, fields) -> np.ndarray:
+    """The rows left in ``fh`` as a structured array of ``fields``, by numpy's C reader: a row
+    of another width or a cell it cannot convert, a quoted or missing one too, is a ValueError."""
+    with warnings.catch_warnings():  # no rows give an empty array, not a warning
+        warnings.simplefilter("ignore")
+        return np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
 
-    A chunk with an empty or ragged row, a cell ``float`` rejects, a value that is not finite
-    (NaN is a missing token) or a block failing ``block_ok(block, chunk)`` goes row by row
-    through ``parse_row(raw, lineno)``, which raises the row's error or returns its values
-    (None drops the row).
-    """
-    size = max(1, _CHUNK_CELLS // width)
-    blocks, lineno = [], 1
-    while chunk := list(itertools.islice(reader, size)):
-        try:
-            cells = map(float, itertools.chain.from_iterable(chunk))
-            block = np.fromiter(cells, float, len(chunk) * width).reshape(len(chunk), width)
-            ok = set(map(len, chunk)) == {width} and np.isfinite(block).all()
-        except ValueError:
-            ok = False
-        if not (ok and block_ok(block, chunk)):
-            rows = [parse_row(raw, lineno + i) for i, raw in enumerate(chunk) if raw]
-            block = np.array([r for r in rows if r is not None], dtype=float).reshape(-1, width)
-        blocks.append(block)
-        lineno += len(chunk)
-    return np.concatenate(blocks) if blocks else np.empty((0, width))
+
+def _parse_rows(fh, width: int, parse_row) -> np.ndarray:
+    """The rows of ``fh`` after its header, read again with ``csv``: ``parse_row(raw, lineno)``
+    raises a row's error or returns its values (None drops the row)."""
+    fh.seek(0)  # the header is record 0
+    rows = [parse_row(raw, lineno) for lineno, raw in enumerate(csv.reader(fh)) if lineno and raw]
+    return np.array([r for r in rows if r is not None], dtype=float).reshape(-1, width)
 
 
 def write_csv(path, header, columns) -> None:
@@ -169,8 +159,8 @@ def load_dataset(path, drop_incomplete: bool = False) -> Dataset:
     ``event`` must be 0 or 1.  Rows containing missing cells raise unless
     ``drop_incomplete`` is set, in which case they are silently dropped.
     """
-    with _csv_reader(path) as reader:
-        if (header := next(reader, None)) is None:
+    with _open_csv(path) as fh:
+        if (header := next(csv.reader(fh), None)) is None:
             raise DataError("empty dataset")
         header = [h.strip() for h in header]
         if len(header) < 2 or header[0] != "time" or header[1] != "event":
@@ -188,10 +178,13 @@ def load_dataset(path, drop_incomplete: bool = False) -> Dataset:
                 raise DataError(f"negative time at row {lineno}, column 'time'")
             return [t, e] + _parse_cells(raw[2:], lineno, header[2:])
 
-        def block_ok(block, _):
-            return np.isin(block[:, 1], (0.0, 1.0)).all() and (block[:, 0] >= 0).all()
-
-        values = _read_rows(reader, len(header), parse_row, block_ok)
+        ok = False  # a file the C reader refuses, or a value refused here, is read again by row
+        with suppress(ValueError):
+            values = _read_fields(fh, [("row", float, (len(header),))])["row"]
+            ok = (np.isfinite(values).all() and np.isin(values[:, 1], (0.0, 1.0)).all()
+                  and (values[:, 0] >= 0).all())
+        if not ok:
+            values = _parse_rows(fh, len(header), parse_row)
     time, cov = values[:, 0].copy(), values[:, 2:].copy()
     return Dataset(time, values[:, 1] == 1.0, cov, tuple(header[2:]))
 
@@ -208,8 +201,8 @@ def load_predictions(path, n_expected: int):
     Rows may come in any order: the ``id`` column, a permutation of
     0..n-1, places each row on its subject.
     """
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
+    with _open_csv(path) as fh:
+        header = next(csv.reader(fh), None)
         if not header or header[0] != "id":
             raise DataError("predictions header must start with 'id'")
         try:
@@ -238,21 +231,17 @@ def load_predictions(path, n_expected: int):
             seen[sid] = True
             return [sid] + _parse_cells(raw[1:], lineno, header[1:], finite=True)
 
-        def block_ok(block, chunk):
-            try:
-                ids = np.array([int(raw[0]) for raw in chunk])
-            except ValueError:
-                return False
-            if (ids.min() < 0 or ids.max() >= n_expected or seen[ids].any()
-                    or distinct(ids).size < ids.size):
-                return False
-            seen[ids] = True
-            return True
-
-        values = _read_rows(reader, len(header), parse_row, block_ok)
+        ok = False  # ids are read as integers, so that 5.0 is refused as int() refuses it
+        with suppress(ValueError):
+            rows = _read_fields(fh, [("id", np.int64), ("p", float, (len(header) - 1,))])
+            ids, values = rows["id"], rows["p"]
+            ok = np.isfinite(values).all() and np.array_equal(np.sort(ids), np.arange(n_expected))
+        if not ok:
+            rows = _parse_rows(fh, len(header), parse_row)
+            ids, values = rows[:, 0], rows[:, 1:]
     if len(values) != n_expected:
         raise DataError(f"predictions have {len(values)} rows, data has {n_expected}")
-    return values[np.argsort(values[:, 0]), 1:], times
+    return values[np.argsort(ids)], times
 
 
 def split_dataset(data: Dataset, fraction: float = 0.75, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -45,7 +45,7 @@ def test_star_import_binds_public_names_and_submodules():
 
 # a process's CLI arguments ({d}: a directory with data.csv, pred.csv, sim.csv and m.json;
 # None: only the package import) and the submodules it must not load; no process may load
-# numpy.ma, which numpy 2.4's plain np.unique and np.quantile import (about 10 ms)
+# numpy.ma, which numpy 2.4's plain np.unique and np.quantile import (about 10 ms), or gzip
 TRAIN = ["--budget", "1", "--folds", "2", "--epochs", "1", "--threads", "1"]
 IMPORT_CASES = {
     "import": (None, SUBMODULES),
@@ -99,6 +99,7 @@ def test_process_loads_only_what_it_runs(cli_inputs, case):
     assert "cli" in loaded if argv else loaded == set()
     assert not loaded & absent
     assert "numpy.ma" not in modules
+    assert "gzip" not in modules  # which np.loadtxt imports when given a path, not an open file
 
 
 def _value_objects():

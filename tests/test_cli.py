@@ -1227,13 +1227,32 @@ HOSTILE = {
     # split writes no train file when its test path is refused
     "split test-out directory": (["split", "--input", "{d}/data.csv", "--train-out", "{d}/tr.csv",
                                   "--test-out", "{d}/dir"], "Is a directory: '{d}/dir'"),
+    # a file written beside the output is checked with it: transform's metadata, evaluate's JSON
+    # report and a config.json
+    "transform meta file a directory": (["transform", "--input", "{d}/data.csv", "--output",
+                                         "{d}/side.csv", "--grid-times", "2.5"],
+                                        "Is a directory: '{d}/side.csv.meta.json'"),
+    "evaluate report file a directory": (["evaluate", "--input", "{d}/data.csv", "--predictions",
+                                          "{d}/pred.csv", "--output", "{d}/side.csv"],
+                                         "Is a directory: '{d}/side.csv.json'"),
+    "train config file a directory": (["train", "--input", "{d}/data.csv", "--model-out",
+                                       "{d}/side.json", "--grid-times", "2.5", "--folds", "2"],
+                                      "Is a directory: '{d}/side.json.config.json'"),
+    # only a config file can give a path that holds a NUL character
+    "NUL in an output path": (["transform", "--config", "{d}/nulout.json", "--input",
+                               "{d}/data.csv"], "--output 'o\\x00.csv' holds a NUL character"),
+    "NUL in an input path": (["transform", "--config", "{d}/nulin.json", "--output", "{d}/o.csv"],
+                             "--input 'd\\x00.csv' holds a NUL character"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_invocation_exits_2(tmp_path, capsys, case):
     args, message = HOSTILE[case]
-    (tmp_path / "dir").mkdir()
+    for name in ("dir", "side.csv.meta.json", "side.csv.json", "side.json.config.json"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "nulout.json").write_text('{"output": "o\\u0000.csv"}')
+    (tmp_path / "nulin.json").write_text('{"input": "d\\u0000.csv"}')
     write_csv(tmp_path / "data.csv", [["time", "event", "z_1"], ["1", "1", "0.5"], ["2", "0", "-1"],
                                       ["3", "1", "0.2"], ["4", "1", "1.1"], ["5", "0", "0.3"]])
     (tmp_path / "list.json").write_text("[1]")

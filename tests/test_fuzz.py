@@ -220,10 +220,13 @@ OUTPUT_COMMANDS = [
     ("split", ["--train-out", "--test-out"], ["--input", "{root}/data.csv"]),
     ("simulate", ["--out"], ["--n", "40", "--replicates", "1", "--threads", "1"]),
 ]
-# an output path: new, an existing file, an existing directory, in a missing directory and
-# under a file, with those refused for a file output and for simulate's directory
-OUTPUT_PATHS = ["{d}/new.csv", "{d}/file.csv", "{d}/dir", "{d}/missing/o.csv", "{d}/file.csv/o"]
-REFUSED = {"file": OUTPUT_PATHS[2:], "directory": ["{d}/file.csv", "{d}/file.csv/o"]}
+# an output path: new, an existing file, an existing directory, in a missing directory, under a
+# file and holding a NUL character (as only a config file can give one to the program), with
+# those refused for a file output and for simulate's directory
+OUTPUT_PATHS = ["{d}/new.csv", "{d}/file.csv", "{d}/dir", "{d}/missing/o.csv", "{d}/file.csv/o",
+                "{d}/nul\0.csv"]
+REFUSED = {"file": OUTPUT_PATHS[2:],
+           "directory": ["{d}/file.csv", "{d}/file.csv/o", "{d}/nul\0.csv"]}
 
 
 @settings(SETTINGS, max_examples=60)

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,14 +31,15 @@ finite = st.one_of(
 nonnegative = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([0.0, -0.0]))
 any_float = st.one_of(finite, st.sampled_from([np.inf, -np.inf, np.nan]))
 # what a hand-made file may hold in one cell: numbers spelt and padded in
-# various ways, missing-value tokens and text no number parser accepts
+# various ways, missing-value tokens, text no number parser accepts and cells that
+# numpy's C reader refuses but csv and float read (a quoted number) or refuse by name
 cell_text = st.one_of(
     finite.map(repr),
     finite.map(lambda v: format(v, ".6g")),
     finite.map(lambda v: f"  {v!r}\t"),
     st.sampled_from(
         ["", " ", "NA", "n/a", "nan", " NaN ", "null", "None", "-nan", "inf", "-Infinity",
-         "1e999", "1_000", "+3", "1.2.3", "abc", "0x10", "--1", "1e", "٣"]
+         "1e999", "1_000", "+3", "1.2.3", "abc", "0x10", "--1", "1e", "٣", '"2.5"', "#1"]
     ),
 )
 event_text = st.sampled_from(["0", "1", " 1 ", "1.0", "-0", "0e5", "2", "0.5", "", "NA", "true"])
@@ -83,14 +83,14 @@ def dataset_files(draw):
     """CSV text of a dataset whose cells may be padded, missing or invalid."""
     p = draw(st.integers(0, 3))
     n = draw(st.integers(0, 25))
-    kinds = ["clean"] * 6 + ["missing"] * 2 + ["blank"]
+    kinds = ["clean"] * 6 + ["missing"] * 2 + ["blank", "spaces"]
     kinds += draw(st.sampled_from([[], ["messy"], ["messy", "ragged"]]))
     missing = st.sampled_from(["", " ", "NA", "n/a", "nan", " NaN ", "null", "None"])
     lines = [",".join(["time", " event "] + [f"z{k}" for k in range(p)])]
     for _ in range(n):
         kind = draw(st.sampled_from(kinds))
-        if kind == "blank":
-            lines.append("")
+        if kind in ("blank", "spaces"):
+            lines.append("" if kind == "blank" else "   ")
             continue
         width = p + 2 + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
         cells = [repr(draw(nonnegative)), draw(st.sampled_from(["0", "1"]))]
@@ -133,29 +133,27 @@ class TestWriter:
 
 class TestReader:
     @SETTINGS
-    @given(text=dataset_files(), drop=st.booleans(), chunk=st.integers(1, 40))
-    def test_load_dataset_matches_oracle(self, tmp_path, text, drop, chunk):
+    @given(text=dataset_files(), drop=st.booleans())
+    def test_load_dataset_matches_oracle(self, tmp_path, text, drop):
         path = tmp_path / "data.csv"
         path.write_text(text, newline="")
         want = _outcome(oracles.load_dataset, path, drop_incomplete=drop)
-        with mock.patch.object(pseudosurv.data, "_CHUNK_CELLS", chunk):
-            got = _outcome(load_dataset, path, drop_incomplete=drop)
+        got = _outcome(load_dataset, path, drop_incomplete=drop)
         _assert_same(got, want)
 
     @SETTINGS
-    @given(data=datasets(), chunk=st.integers(1, 40))
-    def test_round_trip_matches_oracle(self, tmp_path, data, chunk):
+    @given(data=datasets())
+    def test_round_trip_matches_oracle(self, tmp_path, data):
         path = tmp_path / "data.csv"
         save_dataset(data, path)
-        with mock.patch.object(pseudosurv.data, "_CHUNK_CELLS", chunk):
-            _assert_same(_outcome(load_dataset, path), _outcome(oracles.load_dataset, path))
+        _assert_same(_outcome(load_dataset, path), _outcome(oracles.load_dataset, path))
 
     @SETTINGS
-    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 12),
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            cells=st.lists(st.one_of(finite.map(repr), cell_text), min_size=1, max_size=40),
            ids=st.lists(st.sampled_from(["0", "1", "2", " 3", "+4", "5.0", "-1", "99", "x"]),
                         max_size=4))
-    def test_load_predictions_matches_oracle(self, tmp_path, n, seed, chunk, cells, ids):
+    def test_load_predictions_matches_oracle(self, tmp_path, n, seed, cells, ids):
         rng = np.random.default_rng(seed)
         lines = ["id,0.5,1.5"]
         for sid in rng.permutation(n):
@@ -165,8 +163,7 @@ class TestReader:
         path = tmp_path / "pred.csv"
         path.write_text("\n".join(lines) + "\n")
         want = _outcome(oracles.load_predictions, path, n)
-        with mock.patch.object(pseudosurv.data, "_CHUNK_CELLS", chunk):
-            got = _outcome(load_predictions, path, n)
+        got = _outcome(load_predictions, path, n)
         _assert_same(got, want)
 
 
@@ -174,7 +171,9 @@ def _clean_rows(n=40):
     return [f"{1.0 + i:.6g},{i % 2},{0.25 * i - 3:.6g}" for i in range(n)]
 
 
-@pytest.mark.parametrize("chunk", [1, 9, 8192])
+# after counts the clean rows behind the bad one, up to far past the first text buffer: the C
+# reader stops at the bad row, and the row path reads the file again from its header
+@pytest.mark.parametrize("after", [1, 9, 8192])
 @pytest.mark.parametrize(
     "bad_row",
     [
@@ -187,47 +186,70 @@ def _clean_rows(n=40):
         "nan,1,0.5",  # missing time
     ],
 )
-def test_dataset_errors_match_oracle(tmp_path, bad_row, chunk):
-    rows = _clean_rows()
+def test_dataset_errors_match_oracle(tmp_path, bad_row, after):
+    rows = _clean_rows(24 + after)
     rows[23] = bad_row
     path = tmp_path / "data.csv"
     path.write_text("time,event,z\n" + "\n".join(rows) + "\n")
     with pytest.raises(DataError) as want:
         oracles.load_dataset(path)
-    with mock.patch.object(pseudosurv.data, "_CHUNK_CELLS", chunk):
-        with pytest.raises(DataError) as got:
-            load_dataset(path)
+    with pytest.raises(DataError) as got:
+        load_dataset(path)
     assert str(got.value) == str(want.value)
     assert "row 24" in str(got.value)
 
 
-@pytest.mark.parametrize("chunk", [1, 8, 8192])
+@pytest.mark.parametrize("after", [1, 8, 8192])
 @pytest.mark.parametrize(
     "bad_row", ["3.0,0.5,0.5", "7,0.5,0.5", "40,0.5,0.5", "-1,0.5,0.5", "7,null,0.5", "7,0.5"]
 )
-def test_prediction_errors_match_oracle(tmp_path, bad_row, chunk):
-    rows = [f"{i},0.5,0.25" for i in range(40)]
+def test_prediction_errors_match_oracle(tmp_path, bad_row, after):
+    n = 24 + after
+    rows = [f"{i},0.5,0.25" for i in range(n)]
     rows[23] = bad_row
     path = tmp_path / "pred.csv"
     path.write_text("id,1,2\n" + "\n".join(rows) + "\n")
     with pytest.raises(DataError) as want:
-        oracles.load_predictions(path, 40)
-    with mock.patch.object(pseudosurv.data, "_CHUNK_CELLS", chunk):
-        with pytest.raises(DataError) as got:
-            load_predictions(path, 40)
+        oracles.load_predictions(path, n)
+    with pytest.raises(DataError) as got:
+        load_predictions(path, n)
     assert str(got.value) == str(want.value)
 
 
-def test_drop_incomplete_across_chunks(tmp_path):
+def test_drop_incomplete_rows(tmp_path):
     rows = _clean_rows()
     for i in (0, 17, 23, 39):
         rows[i] = rows[i].rsplit(",", 1)[0] + ",NA"
     path = tmp_path / "data.csv"
     path.write_text("time,event,z\n" + "\n".join(rows) + "\n")
-    with mock.patch.object(pseudosurv.data, "_CHUNK_CELLS", 12):
-        got = load_dataset(path, drop_incomplete=True)
+    got = load_dataset(path, drop_incomplete=True)
     _assert_same(got, oracles.load_dataset(path, drop_incomplete=True))
     assert len(got) == 36
+
+
+def test_long_number_is_read_by_the_c_reader(tmp_path):
+    """A number longer than csv's 131 072-character field limit is read; the limit holds for the
+    header and for a file that the row path reads."""
+    long = "0" * 200_000 + "1"
+    path = tmp_path / "data.csv"
+    path.write_text(f"time,event,z\n1,1,{long}\n2,0,3\n")
+    assert load_dataset(path).covariates.tolist() == [[1.0], [3.0]]
+    for text in (f"time,event,z\n1,1,{long}\n2,0,NA\n", f"time,event,{long}\n1,1,2\n"):
+        path.write_text(text)
+        with pytest.raises(DataError, match=r"field larger than field limit \(131072\)"):
+            load_dataset(path, drop_incomplete=True)
+
+
+def test_c_reader_strips_information_separators(tmp_path):
+    """numpy's C reader strips the ASCII information separators U+001C to U+001F around a
+    number, as str.strip() does; float() and int() refuse them, and so does the row path."""
+    path = tmp_path / "data.csv"
+    path.write_text("time,event,z\n1,1,\x1c2\n3,0,4\x1f\n")
+    assert load_dataset(path).covariates.tolist() == [[2.0], [4.0]]
+    path.write_text("time,event,z\n1,1,\x1c2\n3,0,NA\n")
+    with pytest.raises(DataError) as refused:
+        load_dataset(path)
+    assert str(refused.value) == "invalid number '\\x1c2' at row 1, column 'z'"
 
 
 def _peak_bytes(load, *args):
@@ -241,7 +263,7 @@ def _peak_bytes(load, *args):
 
 
 def test_reader_holds_less_than_row_lists(tmp_path):
-    """Chunks keep the reader's temporaries below the per-row lists it replaced."""
+    """The C reader keeps its temporaries below the per-row lists it replaced."""
     rng = np.random.default_rng(5)
     data = Dataset(rng.exponential(size=5000), rng.random(5000) < 0.5,
                    rng.standard_normal((5000, 6)), tuple(f"x{k}" for k in range(6)))

@@ -8,8 +8,11 @@ benchmark workloads are made once with ``perfbench/make_inputs.py``, beside
 a 3 000-subject cohort with integer times, in which each grid interval holds
 one event time, a 400-subject cohort with times of exactly 0 and on each
 grid time, and a copy of the ``train_aft`` test file whose covariate columns
-are reversed.  One fixed matrix of CLI commands then runs in both
-trees, each in a directory with the same layout, on copies of those inputs.
+are reversed.  Two more copies are read by row, as numpy's C reader refuses
+them: the 400-subject cohort with three missing cells, and the ``ipcw_cohort``
+predictions with one quoted cell.  One fixed matrix of CLI commands then runs
+in both trees, each in a directory with the same layout, on copies of those
+inputs.
 
 Two things are compared per result: the sha256 of every file written and
 the sha256 of the float64 arrays behind each CSV (pseudo values, predictions
@@ -93,6 +96,11 @@ MATRIX = [
      "--grid-times", "1,2,3"],
     ["transform", "--input", "boundary/cohort.csv", "--output", "boundary/pseudo_ipcw.csv",
      "--ipcw", "--grid-times", "1,2,3"],
+    # files that the row path reads: missing cells dropped, and a quoted prediction
+    ["transform", "--input", "boundary/cohort_na.csv", "--output", "boundary/pseudo_na.csv",
+     "--drop-incomplete", "--grid-times", "1,2,3"],
+    ["evaluate", "--predictions", "ipcw_cohort/truth_quoted.csv", "--input",
+     "ipcw_cohort/cohort.csv", "--output", "ipcw_cohort/eval_quoted.csv"],
     # more threads than a 2-CPU machine has: the pool is capped at the usable CPUs
     ["train", "--input", "boundary/cohort.csv", "--model-out", "boundary/model_threads3.json",
      "--grid-times", "1,2,3", *_SMALL, "--threads", "3"],
@@ -164,6 +172,20 @@ def _reverse_covariates(src: Path, dst: Path) -> None:
         csv.writer(fh).writerows(row[:2] + row[:1:-1] for row in rows)
 
 
+def _edit_cells(src: Path, dst: Path, edits: dict) -> None:
+    """``src`` with each cell at ``(row, column)`` in ``edits`` rewritten as the format string
+    there makes it, row 0 being the header; the cells of ``src`` are unquoted, so each of its
+    lines splits at its commas."""
+    with open(src, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    for (row, column), text in edits.items():
+        cells = lines[row].split(",")
+        cells[column] = text.format(cells[column])
+        lines[row] = ",".join(cells)
+    with open(dst, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+
+
 def _make_inputs(root: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     for workload in WORKLOADS:
@@ -175,6 +197,10 @@ def _make_inputs(root: Path) -> None:
     (root / "boundary").mkdir()
     _make_boundary(root / "boundary" / "cohort.csv")
     _reverse_covariates(root / "train_aft" / "test.csv", root / "train_aft" / "test_reversed.csv")
+    _edit_cells(root / "boundary" / "cohort.csv", root / "boundary" / "cohort_na.csv",
+                {(5, 3): "NA", (50, 3): "", (300, 3): "nan"})
+    _edit_cells(root / "ipcw_cohort" / "truth.csv", root / "ipcw_cohort" / "truth_quoted.csv",
+                {(1, 1): '"{}"'})
 
 
 def _array_log(run: Path) -> Path:
